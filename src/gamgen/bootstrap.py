@@ -2,8 +2,11 @@
 
 Randomness is consumed in a fixed order so results are reproducible: the full
 (B, n) index matrix is drawn first, every row is evaluated, and only then are
-failed rows redrawn one at a time in ascending row order, up to the retry cap
-each, before being excluded.
+failed rows redrawn one at a time in ascending row order, up to MAX_REDRAWS
+times each, before being excluded. _resample_estimates is that loop, and it
+is the only one: bootstrap_bias_reduce runs it with a per-resample estimator
+call, the study engine in experiment.py with a vectorized evaluation of row
+means.
 """
 
 from __future__ import annotations
@@ -23,6 +26,24 @@ __all__ = ["BootstrapResult", "bootstrap_bias_reduce", "relative_bias", "rmse"]
 MAX_REDRAWS = 10
 
 
+def _resample_estimates(n: int, B: int, rng: RngStream, evaluate: Callable):
+    """Estimates on B resamples of n indices: ((k, B) array, ok mask (B,)).
+
+    evaluate maps an (m, n) index matrix to ((k, m) estimates, ok (m,)).
+    Rows that still fail after MAX_REDRAWS redraws stay False in the mask.
+    """
+    theta, ok = evaluate(rng.integers(0, n, size=(B, n)))
+    for b in np.nonzero(~ok)[0]:
+        for _ in range(MAX_REDRAWS):
+            # a scalar size: perfbench/layertrace.py counts redraws by it
+            th, ok_row = evaluate(rng.integers(0, n, size=n)[None, :])
+            if ok_row[0]:
+                theta[:, b] = th[:, 0]
+                ok[b] = True
+                break
+    return theta, ok
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     estimate: np.ndarray
@@ -36,7 +57,6 @@ def bootstrap_bias_reduce(
     estimator: Callable[[Sample], np.ndarray],
     B: int,
     rng: RngStream,
-    max_redraws: int = MAX_REDRAWS,
 ) -> BootstrapResult:
     """Bias-reduced estimate 2 theta_hat - (1/B') sum_b theta_hat^(b).
 
@@ -49,28 +69,22 @@ def bootstrap_bias_reduce(
     if B < 1:
         raise DomainError("bootstrap needs B >= 1")
     theta_hat = np.atleast_1d(np.asarray(estimator(sample), dtype=np.float64))
-    n = sample.n
     values = sample.values
-    idx = rng.integers(0, n, size=(B, n))
-    # (k, B) orientation so the replicate mean reduces over the last axis,
-    # matching the vectorized experiment engine bit for bit
-    rows = np.full((theta_hat.size, B), np.nan)
-    ok = np.zeros(B, dtype=bool)
-    for b in range(B):
-        try:
-            rows[:, b] = np.atleast_1d(estimator(Sample(values[idx[b]])))
-            ok[b] = True
-        except GamgenError:
-            pass
-    for b in np.nonzero(~ok)[0]:
-        for _ in range(max_redraws):
-            row = rng.integers(0, n, size=n)
+
+    def evaluate(idx):
+        # (k, m) orientation so the replicate mean reduces over the last
+        # axis, matching the vectorized experiment engine bit for bit
+        rows = np.full((theta_hat.size, idx.shape[0]), np.nan)
+        ok = np.zeros(idx.shape[0], dtype=bool)
+        for b, row in enumerate(idx):
             try:
                 rows[:, b] = np.atleast_1d(estimator(Sample(values[row])))
                 ok[b] = True
-                break
             except GamgenError:
-                continue
+                pass
+        return rows, ok
+
+    rows, ok = _resample_estimates(sample.n, B, rng, evaluate)
     n_used = int(np.count_nonzero(ok))
     if n_used == 0:
         raise BootstrapDegenerateError("every bootstrap replicate failed")

@@ -8,6 +8,7 @@ object with --json).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -28,6 +29,7 @@ from .estimators import (
 )
 from .experiment import (
     ExperimentConfig,
+    _family_params_of,
     parse_config_file,
     paper_figure1_config,
     read_csv_rows,
@@ -186,21 +188,9 @@ def cmd_fit(args) -> int:
 def cmd_sample(args) -> int:
     try:
         g = parse_generator_spec(args.generator)
-        theta = _single_theta(args)
-        if set(theta) == {"mu", "sigma"}:
-            mu, sigma = theta["mu"], theta["sigma"]
-        else:
-            if g.native is None:
-                raise DomainError(
-                    f"generator {g.name} has no native parameters; use --mu/--sigma"
-                )
-            if set(theta) != set(g.native.names):
-                raise DomainError(
-                    f"native parameters for {g.name} are {g.native.names}"
-                )
-            mu, sigma = g.native.to_family(**theta)
+        mu, sigma, _ = _family_params_of(g, _single_theta(args))
         n = int(args.n)
-        y = draw_sample(n, FamilyParams(float(mu), float(sigma)), g, RngStream(args.seed, 0))
+        y = draw_sample(n, FamilyParams(mu, sigma), g, RngStream(args.seed, 0))
     except Exception as ex:  # noqa: BLE001
         return _fail(ex, args.json)
     text = "\n".join(_fmt(v) for v in y) + "\n"
@@ -222,30 +212,11 @@ def _experiment_config(args) -> ExperimentConfig:
         if args.seed is None:
             raise DomainError("presets need --seed")
         base = smoke_config(args.seed) if args.smoke else paper_figure1_config(args.seed)
-        if overrides:
-            base = ExperimentConfig(
-                generator=base.generator,
-                theta=base.theta,
-                n=base.n,
-                N=overrides.get("N", base.N),
-                B=overrides.get("B", base.B),
-                seed=base.seed,
-                estimator=base.estimator,
-            )
-        return base
+        return dataclasses.replace(base, **overrides)
     if args.config:
-        cfg = parse_config_file(args.config)
-        if args.seed is not None or overrides:
-            cfg = ExperimentConfig(
-                generator=cfg.generator,
-                theta=cfg.theta,
-                n=cfg.n,
-                N=overrides.get("N", cfg.N),
-                B=overrides.get("B", cfg.B),
-                seed=args.seed if args.seed is not None else cfg.seed,
-                estimator=cfg.estimator,
-            )
-        return cfg
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        return dataclasses.replace(parse_config_file(args.config), **overrides)
     if args.generator is None:
         raise DomainError("give --generator (or --config / a preset)")
     if args.seed is None:

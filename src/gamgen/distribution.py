@@ -20,7 +20,7 @@ from .errors import (
     NonpositiveObservationError,
     OverflowInValue,
 )
-from .generators import Generator, LogPower, PowerLaw
+from .generators import Generator, LogPower, PowerLaw, inverse_of
 from .special import (
     RngStream,
     inv_reg_lower_gamma,
@@ -61,8 +61,8 @@ class FamilyParams:
 class Sample:
     """Ordered collection of strictly positive finite observations.
 
-    Per-generator pointwise transforms are cached on the instance, so
-    estimators that share a generator do not recompute them.
+    The means of the pointwise transforms are cached on the instance per
+    (generator, power), so estimators that share them do not recompute them.
     """
 
     __slots__ = ("values", "_cache")
@@ -162,7 +162,7 @@ def quantile(u, params: FamilyParams, g: Generator):
     mu, sigma, p = params.mu, params.sigma, params.power
     level = arr if g.monotonicity == "increasing" else 1.0 - arr
     qz = inv_reg_lower_gamma(mu, level) / (mu * sigma)
-    x = g.inverse(qz)
+    x = inverse_of(g, qz)
     y = x ** (1.0 / p) if p != 1.0 else x
     return float(y) if scalar else np.asarray(y)
 
@@ -174,7 +174,7 @@ def sample(n: int, params: FamilyParams, g: Generator, rng: RngStream) -> np.nda
         raise DomainError("sample size must be at least 1")
     mu, sigma, p = params.mu, params.sigma, params.power
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=n)
-    x = g.inverse(z)
+    x = inverse_of(g, z)
     return x ** (1.0 / p) if p != 1.0 else x
 
 
@@ -280,7 +280,7 @@ def population_mu_limit(
         raise DomainError("population_mu_limit needs at least 1000 draws")
     mu, sigma = params.mu, params.sigma
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=draws)
-    x = g.inverse(z)
+    x = inverse_of(g, z)
     logx = np.log(x)
     d1 = g.d1(x)
     u_fn = (g.d2(x) / d1 - d1 / z) * x

@@ -11,11 +11,10 @@ the root is unique; the solver brackets it and runs guarded Newton steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .distribution import Sample, _t1_and_log
+from .distribution import FamilyParams, Sample, _t1_and_log, log_pdf
 from .errors import (
     ConvergenceError,
     DegenerateSampleError,
@@ -24,8 +23,8 @@ from .errors import (
     NoRootInBracketError,
     OverflowInValue,
 )
-from .generators import Generator, make_generator
-from .special import RngStream, digamma, log_gamma, sample_gamma
+from .generators import Generator
+from .special import RngStream, digamma, sample_gamma
 
 __all__ = [
     "ScoreVector",
@@ -83,35 +82,24 @@ class FullMlFit:
     infeasible_points: int
 
 
-class _Pointwise:
-    """Per-observation transforms shared by the estimators.
+def _pointwise(g: Generator, y: np.ndarray, p: float = 1.0) -> np.ndarray:
+    """Rows T(x), ln T(x), ln y, w, a, r at x = y^p, shape (6,) + y.shape.
 
-    w, a, r are the summands of the closed-form shape estimator:
-    w = (T''/T' - T'/T)(Y) * Y ln Y, a = T'(Y) Y ln Y, r = (T'/T)(Y) Y ln Y.
+    w, a, r are the summands of the profile shape estimator:
+    w = (T''/T' - T'/T)(x) x ln y, a = T'(x) x ln y, r = (T'/T)(x) x ln y.
     """
-
-    __slots__ = ("y", "log_y", "t1", "log_t1", "w", "a", "r")
-
-    def __init__(self, y: np.ndarray, g: Generator):
-        self.y = y
-        self.log_y = np.log(y)
-        self.t1, self.log_t1 = _t1_and_log(g, y)
-        d1 = g.d1(y)
-        d2 = g.d2(y)
-        if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
-            raise OverflowInValue("generator derivative overflowed float64 range")
-        yl = y * self.log_y
-        self.w = (d2 / d1 - d1 / self.t1) * yl
-        self.a = d1 * yl
-        self.r = (d1 / self.t1) * yl
-
-
-def _stats(sample: Sample, g: Generator) -> _Pointwise:
-    cached = sample._cache.get(g)
-    if cached is None:
-        cached = _Pointwise(sample.values, g)
-        sample._cache[g] = cached
-    return cached
+    with np.errstate(over="ignore"):
+        x = y**p
+    if np.any(~np.isfinite(x)):
+        raise OverflowInValue("Y^p overflowed float64 range")
+    t1, log_t1 = _t1_and_log(g, x)
+    d1 = g.d1(x)
+    d2 = g.d2(x)
+    if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
+        raise OverflowInValue("generator derivative overflowed float64 range")
+    log_y = np.log(y)
+    xl = x * log_y
+    return np.stack([t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl])
 
 
 def _mean_last(x: np.ndarray):
@@ -123,40 +111,56 @@ def _mean_last(x: np.ndarray):
     return np.einsum("...n->...", x) / x.shape[-1]
 
 
-def estimate_sigma(sample: Sample, g: Generator) -> float:
-    """Exact ML estimator of sigma: n / sum T(Y_i)."""
-    st = _stats(sample, g)
-    total = float(_mean_last(st.t1))
+def _means(sample: Sample, g: Generator, p: float = 1.0) -> np.ndarray:
+    """The six row means of _pointwise at power p, cached on the sample."""
+    key = (g, p)
+    cached = sample._cache.get(key)
+    if cached is None:
+        cached = _mean_last(_pointwise(g, sample.values, p))
+        sample._cache[key] = cached
+    return cached
+
+
+def _require_spread(sample: Sample, what: str) -> None:
+    if sample.n < 2 or np.ptp(sample.values) == 0.0:
+        raise DegenerateSampleError(f"{what} needs at least two distinct observations")
+
+
+def _check_power(p) -> float:
+    p = float(p)
+    if not (np.isfinite(p) and p > 0.0):
+        raise DomainError("power p must be finite and > 0")
+    return p
+
+
+def profile_sigma(sample: Sample, g: Generator, p: float) -> float:
+    """Profile estimator of sigma at power p: n / sum T(Y_i^p)."""
+    total = float(_means(sample, g, _check_power(p))[0])
     if not np.isfinite(total) or total <= 0.0:
         raise OverflowInValue("sum of generator values is not finite and positive")
     return 1.0 / total
 
 
-def _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r):
-    """Closed-form shape estimate from the six pointwise means (array-safe)."""
-    numer = 1.0 + mean_log_y + mean_w
+def _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p=1.0):
+    """Numerator and denominator of the profile shape estimate at power p
+    from the pointwise means (array-safe)."""
+    numer = 1.0 / p + mean_log_y + mean_w
     denom = mean_a / mean_t1 - mean_r
     return numer, denom
 
 
-def estimate_mu_closed(sample: Sample, g: Generator) -> float:
-    """Closed-form, iteration-free estimator of mu.
+def profile_mu(sample: Sample, g: Generator, p: float) -> float:
+    """Profile estimator of mu at power p (the closed form at p = 1).
 
-    Ratio of the p-score pieces at p = 1: numerator 1 + mean(ln Y) + mean(w),
+    Ratio of the p-score pieces: numerator 1/p + mean(ln Y) + mean(w),
     denominator sigma_hat * mean(a) - mean(r). A non-positive denominator
     means the estimating equation has no positive solution for this sample.
     """
-    if sample.n < 2 or np.ptp(sample.values) == 0.0:
-        raise DegenerateSampleError(
-            "closed-form mu needs at least two distinct observations"
-        )
-    st = _stats(sample, g)
+    p = _check_power(p)
+    _require_spread(sample, "closed-form mu")
+    mean_t1, _, mean_log_y, mean_w, mean_a, mean_r = _means(sample, g, p)
     numer, denom = _mu_closed_from_means(
-        float(_mean_last(st.log_y)),
-        float(_mean_last(st.w)),
-        float(_mean_last(st.t1)),
-        float(_mean_last(st.a)),
-        float(_mean_last(st.r)),
+        float(mean_log_y), float(mean_w), float(mean_t1), float(mean_a), float(mean_r), p
     )
     if not (np.isfinite(numer) and np.isfinite(denom)):
         raise OverflowInValue("closed-form mu produced a non-finite intermediate")
@@ -170,6 +174,16 @@ def estimate_mu_closed(sample: Sample, g: Generator) -> float:
     return float(mu)
 
 
+def estimate_sigma(sample: Sample, g: Generator) -> float:
+    """Exact ML estimator of sigma: n / sum T(Y_i)."""
+    return profile_sigma(sample, g, 1.0)
+
+
+def estimate_mu_closed(sample: Sample, g: Generator) -> float:
+    """Closed-form, iteration-free estimator of mu: profile_mu at p = 1."""
+    return profile_mu(sample, g, 1.0)
+
+
 def ml_equation_rhs(sample: Sample, g: Generator) -> float:
     """H = ln(mean T(Y)) - mean(ln T(Y)), the ML equation right side.
 
@@ -177,11 +191,10 @@ def ml_equation_rhs(sample: Sample, g: Generator) -> float:
     Rounding can produce a tiny negative value for near-constant samples,
     which is clamped to zero.
     """
-    st = _stats(sample, g)
-    mean_t1 = float(_mean_last(st.t1))
+    mean_t1, mean_log_t1 = _means(sample, g)[:2]
     if not np.isfinite(mean_t1) or mean_t1 <= 0.0:
         raise OverflowInValue("mean of generator values is not finite and positive")
-    h = float(np.log(mean_t1) - _mean_last(st.log_t1))
+    h = float(np.log(mean_t1) - mean_log_t1)
     if h < 0.0:
         if h < -1e-10 * max(1.0, abs(np.log(mean_t1))):
             raise InvalidSampleError("ML equation right side is significantly negative")
@@ -269,6 +282,7 @@ def estimate_mu_ml(sample: Sample, g: Generator):
     Returns (mu_hat, SolverDiagnostics). The root of ln(mu) - psi(mu) = H is
     unique because the left side decreases strictly from +inf to 0.
     """
+    _require_spread(sample, "ML mu")
     h = ml_equation_rhs(sample, g)
     if h == 0.0:
         raise DegenerateSampleError(
@@ -283,66 +297,15 @@ def estimate_mu_ml(sample: Sample, g: Generator):
     return float(m[0]), diag
 
 
-def profile_sigma(sample: Sample, g: Generator, p: float) -> float:
-    """Profile estimator of sigma at power p: n / sum T(Y_i^p)."""
-    p = float(p)
-    if not (np.isfinite(p) and p > 0.0):
-        raise DomainError("power p must be finite and > 0")
-    x = sample.values**p
-    t1, _ = _t1_and_log(g, x)
-    total = float(_mean_last(t1))
-    if not np.isfinite(total) or total <= 0.0:
-        raise OverflowInValue("sum of generator values is not finite and positive")
-    return 1.0 / total
-
-
-def _profile_pieces(sample: Sample, g: Generator, p: float):
-    x = sample.values**p
-    if np.any(~np.isfinite(x)):
-        raise OverflowInValue("Y^p overflowed float64 range")
-    log_y = np.log(sample.values)
-    t1, log_t1 = _t1_and_log(g, x)
-    d1 = g.d1(x)
-    d2 = g.d2(x)
-    if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
-        raise OverflowInValue("generator derivative overflowed float64 range")
-    xl = x * log_y
-    return x, log_y, t1, log_t1, d1, d2, xl
-
-
-def profile_mu(sample: Sample, g: Generator, p: float) -> float:
-    """Profile estimator of mu at power p (reduces to the closed form at p=1)."""
-    p = float(p)
-    if not (np.isfinite(p) and p > 0.0):
-        raise DomainError("power p must be finite and > 0")
-    if sample.n < 2 or np.ptp(sample.values) == 0.0:
-        raise DegenerateSampleError("profile mu needs at least two distinct observations")
-    _, log_y, t1, _, d1, d2, xl = _profile_pieces(sample, g, p)
-    numer = 1.0 / p + float(_mean_last(log_y)) + float(_mean_last((d2 / d1 - d1 / t1) * xl))
-    denom = float(_mean_last(d1 * xl)) / float(_mean_last(t1)) - float(
-        _mean_last(d1 / t1 * xl)
-    )
-    if not (np.isfinite(numer) and np.isfinite(denom)):
-        raise OverflowInValue("profile mu produced a non-finite intermediate")
-    if denom <= 0.0:
-        raise InvalidSampleError("profile mu denominator is not positive at this power")
-    mu = numer / denom
-    if mu <= 0.0:
-        raise InvalidSampleError("profile mu is not positive at this power")
-    return float(mu)
-
-
 def _power_residual(sample: Sample, g: Generator, p: float):
     """Residual of the profiled mu-score equation at power p, or None if the
     profile estimates are infeasible there."""
     try:
         mu_p = profile_mu(sample, g, p)
-        x = sample.values**p
-        _, log_t1 = _t1_and_log(g, x)
         sigma_p = profile_sigma(sample, g, p)
     except (InvalidSampleError, OverflowInValue):
         return None, None, None
-    rhs = -np.log(sigma_p) - float(np.mean(log_t1))
+    rhs = -np.log(sigma_p) - float(_means(sample, g, p)[1])
     resid = float(np.log(mu_p) - digamma(mu_p) - rhs)
     if not np.isfinite(resid):
         return None, None, None
@@ -417,17 +380,6 @@ def fit_full_ml(
     return FullMlFit(mu_m, sigma_m, p_m, iters, resid, (p_lo, p_hi), infeasible)
 
 
-_NLGG_CACHE: dict = {}
-
-
-def _nlgg_generator() -> Generator:
-    gen = _NLGG_CACHE.get("g")
-    if gen is None:
-        gen = make_generator("new-log-generalized-gamma", delta=1.0)
-        _NLGG_CACHE["g"] = gen
-    return gen
-
-
 def fit_new_log_generalized_gamma(sample: Sample):
     """Closed-form (alpha, beta) estimates for T(x) = e^x - 1 at delta = 1.
 
@@ -442,7 +394,8 @@ def fit_new_log_generalized_gamma(sample: Sample):
             "closed-form fit needs at least two distinct observations"
         )
     y = sample.values
-    t1 = np.expm1(y)
+    with np.errstate(over="ignore"):
+        t1 = np.expm1(y)
     if np.any(~np.isfinite(t1)):
         raise OverflowInValue("e^Y overflowed float64 range")
     ey = t1 + 1.0
@@ -496,20 +449,16 @@ def score_vector(
     if min(mu, sigma, p) <= 0.0:
         raise DomainError("score requires mu, sigma, power > 0")
     n = sample.n
-    _, log_y, t1, log_t1, d1, d2, xl = _profile_pieces(sample, g, p)
-    sum_t1 = float(np.sum(t1))
-    d_mu = (
-        n * (np.log(mu) + np.log(sigma) + 1.0 - digamma(mu))
-        - sigma * sum_t1
-        + float(np.sum(log_t1))
+    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = (
+        float(v) for v in _means(sample, g, p)
     )
-    d_sigma = n * mu / sigma - mu * sum_t1
-    d_power = (
-        n / p
-        + float(np.sum(d2 / d1 * xl))
-        + float(np.sum(log_y))
-        - mu * sigma * float(np.sum(d1 * xl))
-        + (mu - 1.0) * float(np.sum(d1 / t1 * xl))
+    d_mu = n * (
+        np.log(mu) + np.log(sigma) + 1.0 - digamma(mu) - sigma * mean_t1 + mean_log_t1
+    )
+    d_sigma = n * (mu / sigma - mu * mean_t1)
+    # T''/T' x ln y = w + r, so the power score needs no further pointwise row
+    d_power = n * (
+        1.0 / p + mean_log_y + mean_w - mu * sigma * mean_a + mu * mean_r
     )
     return ScoreVector(float(d_mu), float(d_sigma), float(d_power))
 
@@ -518,19 +467,7 @@ def log_likelihood(
     sample: Sample, g: Generator, mu: float, sigma: float, power: float = 1.0
 ) -> float:
     """Joint log likelihood of the sample at (mu, sigma, power)."""
-    mu, sigma, p = float(mu), float(sigma), float(power)
-    if min(mu, sigma, p) <= 0.0:
-        raise DomainError("log likelihood requires mu, sigma, power > 0")
-    n = sample.n
-    _, log_y, t1, log_t1, d1, _, _ = _profile_pieces(sample, g, p)
-    return float(
-        n * (np.log(p) + mu * np.log(mu * sigma) - log_gamma(mu))
-        + np.sum(np.log(np.abs(d1)))
-        + (p - 1.0) * np.sum(log_y)
-        - np.sum(log_t1)
-        - mu * sigma * np.sum(t1)
-        + mu * np.sum(log_t1)
-    )
+    return float(np.sum(log_pdf(sample.values, FamilyParams(mu, sigma, power), g)))
 
 
 def fit_family(sample: Sample, g: Generator) -> EstimateReport:

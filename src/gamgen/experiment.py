@@ -6,11 +6,11 @@ distinct high bit set, so results do not depend on execution order or worker
 count. Cells are independent tasks; a single reducer walks them in index
 order, which makes the CSV byte-stable.
 
-The bootstrap inner loop is vectorized: the per-observation transforms are
-computed once per replication and bootstrap estimates come from row means of
-a (B, n) index matrix, consuming randomness in exactly the order of the
-generic routine in bootstrap.py (full matrix first, then sequential redraws
-of failed rows in ascending order).
+The bootstrap is vectorized: the pointwise rows of estimators._pointwise are
+computed once per replication, and bootstrap estimates come from row means
+gathered through the index matrices of bootstrap._resample_estimates, the
+resampling loop that bootstrap_bias_reduce also runs. Only the evaluation of
+a resample differs between the two, and tests pin it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +23,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import FamilyParams, sample
-from .errors import ConvergenceError, DataError, DomainError, GamgenError
-from .estimators import _mean_last, _mu_closed_from_means, _solve_mu_ml_array
+from .bootstrap import _resample_estimates, relative_bias, rmse
+from .distribution import FamilyParams, Sample, sample
+from .errors import ConvergenceError, DataError, DomainError, GamgenError, InvalidSampleError
+from .estimators import (
+    _mean_last,
+    _mu_closed_from_means,
+    _pointwise,
+    _solve_mu_ml_array,
+    estimate_mu_closed,
+    estimate_mu_ml,
+    estimate_sigma,
+)
 from .generators import Generator, parse_generator_spec
 from .special import RngStream
 
@@ -44,7 +53,6 @@ __all__ = [
 
 CSV_HEADER = "generator,param_name,theta_true,n,estimator,rb,rmse,failures,N,B,seed"
 
-MAX_REDRAWS = 10
 _BOOT_BIT = {"closed": 1 << 63, "ml": (1 << 63) | (1 << 62)}
 
 PAPER_ALPHAS = (0.5, 1.0, 2.0, 4.0, 6.0)
@@ -60,13 +68,10 @@ class ExperimentConfig:
     B: int
     seed: int
     estimator: str = "closed"
-    failure_policy: str = "skip-and-count"
 
     def __post_init__(self):
         if self.estimator not in ("closed", "ml", "both"):
             raise DomainError("estimator must be one of closed, ml, both")
-        if self.failure_policy != "skip-and-count":
-            raise DomainError("the only supported failure policy is skip-and-count")
         if int(self.N) < 1:
             raise DomainError("need N >= 1 Monte Carlo replications")
         if int(self.B) < 0:
@@ -123,21 +128,6 @@ def _family_params_of(g: Generator, theta: dict):
     return float(mu), float(sigma), tuple(g.native.names)
 
 
-def _pointwise_matrix(g: Generator, y: np.ndarray) -> np.ndarray:
-    """Rows: T(Y), ln T(Y), ln Y, w, a, r (see estimators._Pointwise)."""
-    from .distribution import _t1_and_log
-    from .errors import OverflowInValue
-
-    t1, log_t1 = _t1_and_log(g, y)
-    d1 = g.d1(y)
-    d2 = g.d2(y)
-    if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
-        raise OverflowInValue("generator derivative overflowed float64 range")
-    log_y = np.log(y)
-    yl = y * log_y
-    return np.stack([t1, log_t1, log_y, (d2 / d1 - d1 / t1) * yl, d1 * yl, (d1 / t1) * yl])
-
-
 def _ml_mu_rows(h: np.ndarray, ok: np.ndarray) -> np.ndarray:
     mu = np.full(h.shape, np.nan)
     m = ok & np.isfinite(h) & (h > 0.0)
@@ -155,22 +145,20 @@ def _ml_mu_rows(h: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 
 def _theta_from_means(M: np.ndarray, g: Generator, param_names, kind: str,
-                      spread_ok=None):
+                      spread_ok: np.ndarray):
     """Estimates from column means M (6, B): returns ((k, B) array, ok mask).
 
-    spread_ok marks resamples with at least two distinct observations; the
-    closed form requires it, mirroring estimate_mu_closed's degeneracy guard
-    so both code paths classify every resample identically.
+    spread_ok marks resamples with at least two distinct observations; both
+    kinds require it, mirroring the degeneracy guards of estimate_mu_closed
+    and estimate_mu_ml so both code paths classify every resample alike.
     """
     mean_t1, mean_lt1, mean_ly, mean_w, mean_a, mean_r = M
     with np.errstate(all="ignore"):
-        base = np.isfinite(mean_t1) & (mean_t1 > 0.0)
+        base = spread_ok & np.isfinite(mean_t1) & (mean_t1 > 0.0)
         sigma = np.where(base, 1.0 / mean_t1, np.nan)
         if kind == "closed":
             numer, denom = _mu_closed_from_means(mean_ly, mean_w, mean_t1, mean_a, mean_r)
             ok = base & np.isfinite(numer) & np.isfinite(denom) & (denom > 0.0)
-            if spread_ok is not None:
-                ok = ok & spread_ok
             mu = np.where(ok, numer / denom, np.nan)
             ok = ok & np.isfinite(mu) & (mu > 0.0)
         else:
@@ -194,15 +182,10 @@ def native_estimator(g: Generator, kind: str, param_names=None):
     Used by the generic bootstrap routine and by tests pinning the two code
     paths against each other.
     """
-    from .distribution import Sample
-    from .errors import InvalidSampleError
-
     if param_names is None:
         param_names = tuple(g.native.names) if g.native is not None else ("mu", "sigma")
 
     def estimate(s: Sample) -> np.ndarray:
-        from .estimators import estimate_mu_closed, estimate_mu_ml, estimate_sigma
-
         sigma = estimate_sigma(s, g)
         if kind == "closed":
             mu = estimate_mu_closed(s, g)
@@ -228,28 +211,17 @@ def _spread_mask(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _correct_kind(P, y, n, B, brng, g, param_names, kind, theta_hat):
-    """Bias-reduced vector for one estimator kind, or (None, excluded)."""
-    idx = brng.integers(0, n, size=(B, n))
-    M = _mean_last(P[:, idx])
-    theta, ok = _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
-    excluded = 0
-    for b in np.nonzero(~ok)[0]:
-        fixed = False
-        for _ in range(MAX_REDRAWS):
-            row = brng.integers(0, n, size=n)
-            m_row = _mean_last(P[:, row])[:, None]
-            spread = _spread_mask(y, row[None, :])
-            th, ok_row = _theta_from_means(m_row, g, param_names, kind, spread)
-            if ok_row[0]:
-                theta[:, b] = th[:, 0]
-                ok[b] = True
-                fixed = True
-                break
-        if not fixed:
-            excluded += 1
+    """Bias-reduced vector for one estimator kind, or None if every resample
+    failed."""
+
+    def evaluate(idx):
+        M = _mean_last(P[:, idx])
+        return _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
+
+    theta, ok = _resample_estimates(n, B, brng, evaluate)
     if not ok.any():
-        return None, excluded
-    return 2.0 * theta_hat - _mean_last(theta[:, ok]), excluded
+        return None
+    return 2.0 * theta_hat - _mean_last(theta[:, ok])
 
 
 def _run_cell(payload):
@@ -268,7 +240,7 @@ def _run_cell(payload):
         rng = RngStream(seed, base_id)
         try:
             y = sample(n, params, g, rng)
-            P = _pointwise_matrix(g, y)
+            P = _pointwise(g, y)
         except GamgenError:
             continue
         m_full = _mean_last(P)[:, None]
@@ -283,7 +255,7 @@ def _run_cell(payload):
                 corrected[kd][rep] = theta_hat
                 continue
             brng = RngStream(seed, base_id | _BOOT_BIT[kd])
-            star, _ = _correct_kind(P, y, n, B, brng, g, param_names, kd, theta_hat)
+            star = _correct_kind(P, y, n, B, brng, g, param_names, kd, theta_hat)
             if star is not None:
                 corrected[kd][rep] = star
     elapsed = time.perf_counter() - t0
@@ -320,8 +292,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
-
-    from .bootstrap import relative_bias, rmse
 
     rows = []
     for (theta, n), (cell_idx, param_names, corrected, raw, elapsed) in zip(
@@ -447,6 +417,13 @@ def _parse_theta_value(text: str) -> dict:
     return out
 
 
+def _config_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DataError(f"config value for {key} is not an integer: {text!r}") from exc
+
+
 def parse_config_file(path: str) -> ExperimentConfig:
     """Flat key=value config; repeated keys build the grids.
 
@@ -477,9 +454,9 @@ def parse_config_file(path: str) -> ExperimentConfig:
         elif key == "n":
             for tok in value.split(","):
                 if tok.strip():
-                    ns.append(int(tok))
+                    ns.append(_config_int(key, tok))
         elif key in ("N", "B", "seed"):
-            scalars[key] = int(value)
+            scalars[key] = _config_int(key, value)
         elif key == "estimator":
             scalars[key] = value
         else:

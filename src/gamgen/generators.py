@@ -17,11 +17,7 @@ from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GamgenError,
-)
+from .errors import ConvergenceError, DomainError, OverflowInValue
 
 __all__ = [
     "PowerLaw",
@@ -103,7 +99,10 @@ def _guard(fn: Callable, what: str) -> Callable:
     def wrapped(x):
         arr = _check_domain(x, what)
         scalar = arr.ndim == 0
-        out = fn(np.atleast_1d(arr))
+        # overflow yields inf, which the callers' isfinite checks turn into
+        # OverflowInValue; numpy's own warning would only duplicate it
+        with np.errstate(over="ignore"):
+            out = fn(np.atleast_1d(arr))
         return float(out[0]) if scalar else np.asarray(out)
 
     return wrapped
@@ -114,9 +113,13 @@ def inverse_of(g: Generator, z):
 
     Closed forms are used where the catalog provides them; otherwise a
     geometric-bisection search with Newton polishing solves value(x) = z.
+    A result beyond the float64 range raises OverflowInValue.
     """
     z = _check_domain(z, "inverse argument")
-    return g.inverse(z)
+    x = g.inverse(z)
+    if np.any(~np.isfinite(x)):
+        raise OverflowInValue("generator inverse overflowed float64 range")
+    return x
 
 
 def _numeric_inverse(value: Callable, d1: Callable, z):

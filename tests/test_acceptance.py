@@ -33,8 +33,7 @@ from gamgen import (
 )
 from gamgen.cli import main as cli_main
 from gamgen.experiment import PAPER_ALPHAS, PAPER_NS
-from gamgen.estimators import _mean_last, _mu_closed_from_means, _solve_mu_ml_array
-from gamgen.experiment import _pointwise_matrix
+from gamgen.estimators import _mean_last, _mu_closed_from_means, _pointwise, _solve_mu_ml_array
 
 from conftest import CATALOG_SWEEP, POWER_LAW_SWEEP
 
@@ -140,7 +139,7 @@ def test_criterion_04_closed_form_below_twice_ml():
         Y = np.empty((N, n))
         for i in range(N):
             Y[i] = sample(n, FamilyParams(mus[i], sigmas[i]), g, RngStream(400_000 + gi, i))
-        M = _mean_last(_pointwise_matrix(g, Y.ravel()).reshape(6, N, n))
+        M = _mean_last(_pointwise(g, Y.ravel()).reshape(6, N, n))
         numer, denom = _mu_closed_from_means(M[2], M[3], M[0], M[4], M[5])
         h = np.log(M[0]) - M[1]
         feasible = (denom > 0.0) & (h > 0.0)

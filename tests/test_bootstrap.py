@@ -131,16 +131,29 @@ def test_paired_bias_reduction_gamma_mu5():
 def test_vectorized_engine_matches_generic_bootstrap():
     # the experiment engine's matrix bootstrap must reproduce the generic
     # routine bit for bit when fed the same streams
+    # n = 3 draws all-equal resamples, which both engines must redraw alike
     g = make_generator("gamma")
-    seed, n, B = 424242, 20, 40
-    payload = (0, "gamma", {"mu": 5.0, "sigma": 1.0}, n, 3, B, seed, ("closed", "ml"))
-    _, _, corrected, raw, _ = _run_cell(payload)
-    for rep in range(3):
-        base_id = rep  # cell_idx = 0
-        y = draw(n, FamilyParams(5.0, 1.0), g, RngStream(seed, base_id))
-        for kind in ("closed", "ml"):
-            est = native_estimator(g, kind, ("mu", "sigma"))
-            assert np.array_equal(raw[kind][rep], est(Sample(y)))
-            brng = RngStream(seed, base_id | _BOOT_BIT[kind])
-            res = bootstrap_bias_reduce(Sample(y), est, B, brng)
-            assert np.array_equal(res.estimate, corrected[kind][rep])
+    seed, B = 424242, 40
+    for n in (20, 3):
+        payload = (0, "gamma", {"mu": 5.0, "sigma": 1.0}, n, 3, B, seed, ("closed", "ml"))
+        _, _, corrected, raw, _ = _run_cell(payload)
+        for rep in range(3):
+            base_id = rep  # cell_idx = 0
+            y = draw(n, FamilyParams(5.0, 1.0), g, RngStream(seed, base_id))
+            for kind in ("closed", "ml"):
+                est = native_estimator(g, kind, ("mu", "sigma"))
+                assert np.array_equal(raw[kind][rep], est(Sample(y)))
+                brng = RngStream(seed, base_id | _BOOT_BIT[kind])
+                res = bootstrap_bias_reduce(Sample(y), est, B, brng)
+                assert np.array_equal(res.estimate, corrected[kind][rep])
+
+
+def test_ml_cell_at_n3_keeps_estimates_bounded():
+    # an all-equal resample must be redrawn, not kept with an ML shape near
+    # 1e15 from an H that rounded to a tiny positive value
+    payload = (0, "gamma", {"alpha": 2.0, "beta": 0.5}, 3, 60, 50, 11, ("ml",))
+    _, param_names, corrected, _, _ = _run_cell(payload)
+    assert param_names == ("alpha", "beta")
+    alpha = corrected["ml"][:, 0]
+    assert np.all(np.isfinite(alpha))
+    assert np.all(np.abs(alpha) < 1e10)

@@ -83,6 +83,20 @@ def test_fit_missing_file_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_fit_overflow_reports_only_the_error_lines(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("800\n1\n2\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamgen.cli", "fit", "--generator", "nlgg", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert [line.partition("=")[0] for line in lines] == ["error", "message"]
+    assert kv_lines(proc.stderr)["error"] == "overflow"
+
+
 def test_fit_unknown_generator_is_usage_error(data123, capsys):
     code, out, err = run_cli(["fit", "--generator", "nope", data123], capsys)
     assert code == 2
@@ -206,6 +220,20 @@ def test_experiment_config_file_and_overrides(tmp_path, capsys):
     with open(out, encoding="utf-8", newline="") as fh:
         recs = list(csv.DictReader(fh))
     assert all(rec["N"] == "3" and rec["B"] == "2" for rec in recs)
+
+
+def test_experiment_malformed_config_number_is_data_error(tmp_path, capsys):
+    good = {"n": "10", "N": "4", "B": "2", "seed": "5"}
+    out = str(tmp_path / "m.csv")
+    for key in good:
+        cfg = tmp_path / f"bad_{key}.cfg"
+        lines = ["generator=gamma", "theta=mu=2,sigma=1"]
+        lines += [f"{k}={'abc' if k == key else v}" for k, v in good.items()]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_cli(["experiment", "--config", str(cfg), "--out", out], capsys)
+        assert code == 3
+        assert kv_lines(err)["error"] == "data-error"
+        assert key in kv_lines(err)["message"]
 
 
 def test_experiment_usage_errors(tmp_path, capsys):

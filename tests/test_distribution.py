@@ -14,6 +14,7 @@ from gamgen import (
     FamilyParams,
     MomentDoesNotExistError,
     NonpositiveObservationError,
+    OverflowInValue,
     RngStream,
     Sample,
     cdf,
@@ -118,6 +119,14 @@ def test_sampler_determinism_and_type():
     assert one.shape == (1,) and one[0] > 0.0
     with pytest.raises(DomainError):
         sample(0, p, g, RngStream(3, 4))
+
+
+def test_sampler_and_quantile_raise_on_inverse_overflow():
+    g = make_generator("weibull", delta=0.01)  # inverse z ** 100
+    with pytest.raises(OverflowInValue):
+        sample(5, FamilyParams(2.0, 1e-6), g, RngStream(1, 0))
+    with pytest.raises(OverflowInValue):
+        quantile(0.5, FamilyParams(2.0, 1e-6), g)
 
 
 def test_sampler_transformed_mean():

@@ -123,6 +123,9 @@ def test_mu_ml_constructed_fixed_points():
 def test_mu_ml_errors():
     with pytest.raises(DegenerateSampleError):
         estimate_mu_ml(Sample([3.0, 3.0]), GAMMA)
+    # equal values whose H rounds to a tiny positive number, not to zero
+    with pytest.raises(DegenerateSampleError):
+        estimate_mu_ml(Sample([5.9] * 3), GAMMA)
     with pytest.raises(DomainError):
         _solve_mu_ml_array(np.array([-0.1]))
 

@@ -158,8 +158,6 @@ def test_experiment_config_validation():
     with pytest.raises(DomainError):
         small_config(estimator="bogus")
     with pytest.raises(DomainError):
-        small_config(failure_policy="retry")
-    with pytest.raises(DomainError):
         small_config(N=0)
     with pytest.raises(DomainError):
         small_config(B=-1)
