@@ -24,8 +24,10 @@ from .generators import Generator, LogPower, PowerLaw, inverse_of
 from .special import (
     RngStream,
     inv_reg_lower_gamma,
+    inv_reg_upper_gamma,
     log_gamma,
     reg_lower_gamma,
+    reg_upper_gamma,
     sample_gamma,
 )
 
@@ -35,7 +37,9 @@ __all__ = [
     "MomentExistence",
     "log_pdf",
     "cdf",
+    "sf",
     "quantile",
+    "isf",
     "sample",
     "moment_power_law",
     "moment_exists",
@@ -99,14 +103,21 @@ def _as_positive_array(y, what: str):
 
 
 def _t1_and_log(g: Generator, x):
-    """Generator value and its log; a log channel only improves the log."""
+    """Generator value and its log; a log channel only improves the log.
+
+    A value that overflows, or whose log is not finite because the value
+    underflowed to 0, raises OverflowInValue.
+    """
     t1 = g.value(x)
     if g.log_value is not None:
         log_t1 = g.log_value(x)
     else:
-        log_t1 = np.log(t1)
-    if np.any(~np.isfinite(np.atleast_1d(t1))):
+        with np.errstate(divide="ignore"):
+            log_t1 = np.log(t1)
+    if not np.isfinite(t1).all():
         raise OverflowInValue("generator value overflowed float64 range")
+    if not np.isfinite(log_t1).all():
+        raise OverflowInValue("log of the generator value left float64 range")
     return t1, log_t1
 
 
@@ -114,21 +125,23 @@ def log_pdf(y, params: FamilyParams, g: Generator):
     """Log density at y > 0. Accepts scalars or arrays elementwise.
 
     Evaluated as ln p + mu ln(mu sigma) - lnGamma(mu) + ln|T'(y^p)|
-    + (p-1) ln y - ln T(y^p) - mu sigma T(y^p) + mu ln T(y^p); generator
-    overflow raises rather than silently returning -inf.
+    + (p-1) ln y - ln T(y^p) - mu sigma T(y^p) + mu ln T(y^p); where T, ln T
+    or ln|T'| leaves the float64 range it raises rather than returning nan
+    or -inf.
     """
     arr, scalar = _as_positive_array(y, "log_pdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
     x = arr**p
     t1, log_t1 = _t1_and_log(g, x)
-    d1 = g.d1(x)
-    if np.any(~np.isfinite(np.atleast_1d(d1))):
-        raise OverflowInValue("generator derivative overflowed float64 range")
+    with np.errstate(divide="ignore"):
+        log_d1 = np.log(np.abs(g.d1(x)))
+    if not np.isfinite(log_d1).all():
+        raise OverflowInValue("log of the generator derivative left float64 range")
     out = (
         np.log(p)
         + mu * np.log(mu * sigma)
         - log_gamma(mu)
-        + np.log(np.abs(d1))
+        + log_d1
         + (p - 1.0) * np.log(arr)
         - log_t1
         - mu * sigma * t1
@@ -137,34 +150,60 @@ def log_pdf(y, params: FamilyParams, g: Generator):
     return float(out) if scalar else out
 
 
-def cdf(y, params: FamilyParams, g: Generator):
-    """Distribution function at y > 0; dispatches on generator monotonicity."""
-    arr, scalar = _as_positive_array(y, "cdf argument")
+def _tail(y, params: FamilyParams, g: Generator, upper: bool):
+    """P(Y <= y), or P(Y > y) when ``upper``, from T(y^p) alone.
+
+    Y <= y is T(Y^p) <= T(y^p) for an increasing generator and
+    T(Y^p) >= T(y^p) for a decreasing one, so the answer is P or Q of the
+    gamma law, each taken directly so that neither tail is formed as 1 - x.
+    """
+    arr, scalar = _as_positive_array(y, "sf argument" if upper else "cdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    t1, _ = _t1_and_log(g, arr**p)
-    z = mu * sigma * t1
-    lower = reg_lower_gamma(mu, z)
-    out = lower if g.monotonicity == "increasing" else 1.0 - lower
+    t1 = g.value(arr**p)
+    if not np.isfinite(t1).all():
+        raise OverflowInValue("generator value overflowed float64 range")
+    on_q = upper != (g.monotonicity == "decreasing")
+    out = (reg_upper_gamma if on_q else reg_lower_gamma)(mu, mu * sigma * t1)
     return float(out) if scalar else np.asarray(out)
 
 
-def quantile(u, params: FamilyParams, g: Generator):
-    """Quantile function for levels strictly inside (0, 1).
+def cdf(y, params: FamilyParams, g: Generator):
+    """Distribution function P(Y <= y) at y > 0."""
+    return _tail(y, params, g, upper=False)
 
-    Increasing T: [T^{-1}(Q_Z(u))]^(1/p); decreasing T uses the reflection
-    Q_Y(u) = [T^{-1}(Q_Z(1-u))]^(1/p), equivalent to inverting through the
-    reciprocal inverse-gamma representation.
+
+def sf(y, params: FamilyParams, g: Generator):
+    """Survival function P(Y > y) at y > 0, accurate far into the upper tail."""
+    return _tail(y, params, g, upper=True)
+
+
+def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
+    """y with P(Y <= y) = u, or P(Y > y) = u when ``upper``, for 0 < u < 1.
+
+    Y = [T^{-1}(Z)]^(1/p) with Z ~ Gamma(mu, 1/(mu sigma)); the level is
+    handed to the incomplete-gamma inverse of the matching tail, so no
+    level is formed as 1 - u.
     """
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile level must lie strictly between 0 and 1")
     mu, sigma, p = params.mu, params.sigma, params.power
-    level = arr if g.monotonicity == "increasing" else 1.0 - arr
-    qz = inv_reg_lower_gamma(mu, level) / (mu * sigma)
-    x = inverse_of(g, qz)
+    on_q = upper != (g.monotonicity == "decreasing")
+    z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)
+    x = inverse_of(g, z / (mu * sigma))
     y = x ** (1.0 / p) if p != 1.0 else x
     return float(y) if scalar else np.asarray(y)
+
+
+def quantile(u, params: FamilyParams, g: Generator):
+    """Quantile function: y with cdf(y) = u, for levels strictly inside (0, 1)."""
+    return _tail_inverse(u, params, g, upper=False)
+
+
+def isf(q, params: FamilyParams, g: Generator):
+    """Inverse survival function: y with sf(y) = q, for 0 < q < 1."""
+    return _tail_inverse(q, params, g, upper=True)
 
 
 def sample(n: int, params: FamilyParams, g: Generator, rng: RngStream) -> np.ndarray:

@@ -311,8 +311,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
                     if good.size:
                         rb = relative_bias(good, truth)
                         rmse_v = rmse(good, truth)
-                        # RMSE^2 >= squared mean bias, up to rounding
-                        assert rmse_v**2 >= (rb * abs(truth)) ** 2 * (1.0 - 1e-12)
                     else:
                         rb = float("nan")
                         rmse_v = float("nan")

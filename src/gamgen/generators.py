@@ -99,9 +99,10 @@ def _guard(fn: Callable, what: str) -> Callable:
     def wrapped(x):
         arr = _check_domain(x, what)
         scalar = arr.ndim == 0
-        # overflow yields inf, which the callers' isfinite checks turn into
-        # OverflowInValue; numpy's own warning would only duplicate it
-        with np.errstate(over="ignore"):
+        # overflow, a zero divisor or inf * 0 yields inf or nan, which the
+        # callers' isfinite checks turn into OverflowInValue; numpy's own
+        # warning would only duplicate it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = fn(np.atleast_1d(arr))
         return float(out[0]) if scalar else np.asarray(out)
 

@@ -1,25 +1,30 @@
 """Gamma-family special functions and gamma-variate sampling.
 
 Self-contained float64 implementations: log-gamma and digamma via argument
-lifting plus Bernoulli asymptotic series, the regularized lower incomplete
-gamma function via a power series / continued fraction split, its inverse via
-a Wilson-Hilferty start polished by bracket-guarded Newton, and gamma variate
-generation via the Marsaglia-Tsang squeeze method. Randomness comes from
-``RngStream``, a counter-based stream fully determined by (seed, stream_id).
+lifting plus Bernoulli asymptotic series; the regularized incomplete gamma
+pair P and Q via one kernel that takes P from a power series below x = a+1
+and Q from a continued fraction above, so each is exact in its own tail; the
+inverses of both by one array solver (a Wilson-Hilferty or small-x series
+start, then Halley steps on the smaller tail probability, stopping on a
+relative step in x); and gamma variate generation via the Marsaglia-Tsang
+squeeze method. Randomness comes from ``RngStream``, a counter-based stream
+fully determined by (seed, stream_id).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, OverflowInValue
 
 __all__ = [
     "RngStream",
     "log_gamma",
     "digamma",
     "reg_lower_gamma",
+    "reg_upper_gamma",
     "inv_reg_lower_gamma",
+    "inv_reg_upper_gamma",
     "sample_gamma",
 ]
 
@@ -180,37 +185,61 @@ def _upper_cf(a, x, log_prefactor):
     return np.exp(log_prefactor) * h
 
 
+def _gamma_pq(a, x, lg_a):
+    """(P(a, x), Q(a, x)) for a > 0 and x >= 0, given lg_a = ln Gamma(a).
+
+    The power series gives P on x < a+1 and the continued fraction gives Q
+    elsewhere, each to relative machine precision; the other one is its
+    complement. Arguments broadcast and the results are arrays.
+    """
+    a, x, lg_a = np.broadcast_arrays(a, x, lg_a)
+    p = np.zeros(x.shape)
+    q = np.ones(x.shape)
+    pos = x > 0.0
+    log_pref = a * np.log(np.where(pos, x, 1.0)) - x - lg_a
+    lower = pos & (x < a + 1.0)
+    if lower.any():
+        p[lower] = _lower_series(a[lower], x[lower], log_pref[lower])
+        q[lower] = 1.0 - p[lower]
+    upper = pos & ~lower
+    if upper.any():
+        q[upper] = _upper_cf(a[upper], x[upper], log_pref[upper])
+        p[upper] = 1.0 - q[upper]
+    np.clip(p, 0.0, 1.0, out=p)
+    np.clip(q, 0.0, 1.0, out=q)
+    return p, q
+
+
+def _incomplete_gamma(a, x, name: str):
+    """Validated (P, Q, scalar_flag) for the public incomplete gamma pair."""
+    a_arr = np.asarray(a, dtype=np.float64)
+    x_arr = np.asarray(x, dtype=np.float64)
+    if a_arr.size and (not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0)):
+        raise DomainError(f"{name} requires a > 0")
+    if x_arr.size and (not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0)):
+        raise DomainError(f"{name} requires x >= 0")
+    p, q = _gamma_pq(a_arr, x_arr, log_gamma(a_arr))
+    return p, q, a_arr.ndim == 0 and x_arr.ndim == 0
+
+
 def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma function P(a, x), a > 0, x >= 0.
 
     Power series on x < a+1, continued fraction for the complement elsewhere,
     both driven to relative machine tolerance.
     """
-    a_arr = np.asarray(a, dtype=np.float64)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if a_arr.size and (not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0)):
-        raise DomainError("reg_lower_gamma requires a > 0")
-    if x_arr.size and (not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0)):
-        raise DomainError("reg_lower_gamma requires x >= 0")
-    scalar = a_arr.ndim == 0 and x_arr.ndim == 0
-    a_b, x_b = np.broadcast_arrays(a_arr, x_arr)
-    a_b = a_b.astype(np.float64).copy()
-    x_b = x_b.astype(np.float64).copy()
-    out = np.zeros_like(x_b)
+    p, _, scalar = _incomplete_gamma(a, x, "reg_lower_gamma")
+    return float(p) if scalar else p
 
-    pos = x_b > 0.0
-    lg_a = log_gamma(np.where(a_b > 0, a_b, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = a_b * np.log(np.where(pos, x_b, 1.0)) - x_b - lg_a
 
-    lower = pos & (x_b < a_b + 1.0)
-    if lower.any():
-        out[lower] = _lower_series(a_b[lower], x_b[lower], log_pref[lower])
-    upper = pos & ~lower
-    if upper.any():
-        out[upper] = 1.0 - _upper_cf(a_b[upper], x_b[upper], log_pref[upper])
-    np.clip(out, 0.0, 1.0, out=out)
-    return float(out) if scalar else out
+def reg_upper_gamma(a, x):
+    """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x).
+
+    On x >= a+1 Q comes straight from the continued fraction, so it keeps its
+    relative accuracy deep into the upper tail where 1 - P would round to 0.
+    """
+    _, q, scalar = _incomplete_gamma(a, x, "reg_upper_gamma")
+    return float(q) if scalar else q
 
 
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -223,98 +252,117 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00
              3.754408661907416e+00)
 
 
-def _norm_ppf(u: float) -> float:
-    """Standard normal quantile (Acklam's rational approximation, ~1e-9)."""
-    if u <= 0.0 or u >= 1.0:
-        raise DomainError("normal quantile requires 0 < u < 1")
+def _norm_ppf(p):
+    """Standard normal quantile for 0 < p <= 1/2, elementwise (Acklam's
+    rational approximation, ~1e-9 relative)."""
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
     plow = 0.02425
-    if u < plow:
-        q = np.sqrt(-2.0 * np.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if u > 1.0 - plow:
-        q = np.sqrt(-2.0 * np.log(1.0 - u))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = u - 0.5
+    tail = p < plow
+    q = np.sqrt(-2.0 * np.log(np.where(tail, p, plow)))
+    z_tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    q = p - 0.5
     r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    z_mid = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return np.where(tail, z_tail, z_mid)
+
+
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+_HALLEY_STOP = 1e-6  # relative step; the next error, its cube, is below rounding
+_HALLEY_CLAMP = 16.0  # a step moves x by at most this factor either way
+_HALLEY_MAX = 100
+
+
+def _inv_gamma(a, target, upper: bool):
+    """Solve P(a, x) = target, or Q(a, x) = target when ``upper``, for x.
+
+    Each level is solved on its smaller tail probability r <= 1/2, which is
+    exact: the target itself or its complement. The start is the larger of
+    Wilson-Hilferty and the small-x inversion of P < x^a / Gamma(a+1) (a
+    lower bound, tight in the lower tail). Halley steps then drive
+    g = ln(f / r) to zero, with f = P(x) on the lower tail and f = Q(x) on
+    the upper one, each exact in its own tail; the log scale keeps steps sound
+    where f is many orders of magnitude off r. Every evaluation narrows a
+    bracket on the root; a step moves x by at most a factor 16, and one that
+    leaves the bracket (or is lost to underflow of f) bisects ln x instead.
+    A level stops after a Halley step of relative size <= 1e-6.
+    """
+    a = float(a)
+    name = "inv_reg_upper_gamma" if upper else "inv_reg_lower_gamma"
+    if not (np.isfinite(a) and a > 0.0):
+        raise DomainError(f"{name} requires a > 0")
+    t = np.asarray(target, dtype=np.float64)
+    if np.any(~(t > 0.0)) or np.any(~(t < 1.0)):
+        raise DomainError(f"{name} requires 0 < level < 1")
+    shape = t.shape
+    t = t.reshape(-1)
+    on_q = (t > 0.5) != upper  # solve on Q rather than P
+    r = np.where(t > 0.5, 1.0 - t, t)
+    sgn = np.where(on_q, -1.0, 1.0)  # sign of df/dx
+
+    lg_a = log_gamma(a)
+    log_u = np.where(on_q, np.log1p(-r), np.log(r))  # ln P at the root
+    log_xs = (log_u + lg_a + np.log(a)) / a
+    if np.any(log_xs < _LOG_TINY):
+        raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
+    z = sgn * _norm_ppf(r)
+    wh = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+    x = np.maximum(np.exp(log_xs), a * np.maximum(wh, 0.0) ** 3)
+
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, np.inf)
+    active = np.arange(t.size)
+    for _ in range(_HALLEY_MAX):
+        if active.size == 0:
+            break
+        xa, ra, sa = x[active], r[active], sgn[active]
+        p, q = _gamma_pq(a, xa, lg_a)
+        f = np.where(sa < 0.0, q, p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.log(f / ra)
+            w = np.exp((a - 1.0) * np.log(xa) - xa - lg_a - np.log(f))  # |g'|
+            h = sa * g / w
+            curv = (a - 1.0) / xa - 1.0 - sa * w  # g'' / g'
+            step = h / (1.0 - 0.5 * np.minimum(1.0, h * curv))
+            x_new = np.clip(xa - step, xa / _HALLEY_CLAMP, xa * _HALLEY_CLAMP)
+            above = sa * g > 0.0  # xa lies above the root
+            lo_a = np.where(above, lo[active], xa)
+            hi_a = np.where(above, xa, hi[active])
+            inside = (x_new >= lo_a) & (x_new <= hi_a)  # false for a nan step
+            # outside: bisect ln x, or move by the clamp factor while one side is open
+            bisect = np.where(np.isinf(hi_a), lo_a * _HALLEY_CLAMP, np.where(
+                lo_a > 0.0, np.sqrt(lo_a) * np.sqrt(hi_a), hi_a / _HALLEY_CLAMP))
+            x_new = np.where(inside, x_new, bisect)
+        lo[active], hi[active] = lo_a, hi_a
+        x[active] = x_new
+        active = active[~(inside & (np.abs(step) <= _HALLEY_STOP * x_new))]
+    else:
+        raise ConvergenceError(f"{name} did not converge")
+    return float(x[0]) if not shape else x.reshape(shape)
 
 
 def inv_reg_lower_gamma(a: float, u):
-    """Solve P(a, x) = u for x, with a > 0 and 0 < u < 1.
+    """Solve P(a, x) = u for x, with a > 0 and 0 < u < 1, elementwise.
 
-    Wilson-Hilferty initial guess (small-u series fallback), then Newton
-    steps guarded by a maintained sign bracket; bisection takes over whenever
-    a step leaves the bracket. Converges to |P(a,x) - u| <= 1e-13. Arrays of
-    levels are handled element by element.
+    Levels above 1/2 are solved on Q(a, x) = 1 - u, whose target is exact,
+    so both tails keep ~1e-14 relative accuracy in x. Start: Wilson-Hilferty
+    or the small-x series x = (u Gamma(a+1))^(1/a), whichever is larger;
+    then Halley steps on the log of the tail-probability ratio, stopping
+    on a relative step in x of 1e-6. One log-gamma per call; an array of
+    levels gives the same bits as one call per level. A solution below the
+    float64 normal range raises OverflowInValue.
     """
-    a = float(a)
-    if isinstance(u, np.ndarray) and u.ndim > 0:
-        flat = [inv_reg_lower_gamma(a, float(v)) for v in u.ravel()]
-        return np.array(flat, dtype=np.float64).reshape(u.shape)
-    u = float(u)
-    if not (np.isfinite(a) and a > 0.0):
-        raise DomainError("inv_reg_lower_gamma requires a > 0")
-    if not (0.0 < u < 1.0):
-        raise DomainError("inv_reg_lower_gamma requires 0 < u < 1")
+    return _inv_gamma(a, u, upper=False)
 
-    lg_a = log_gamma(a)
-    # Wilson-Hilferty cube approximation of the gamma quantile.
-    z = _norm_ppf(u)
-    t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
-    x = a * t * t * t if t > 0.0 else 0.0
-    if x <= 0.0 or a < 0.5:
-        # Small-u inversion of P ~ x^a / Gamma(a+1).
-        x = np.exp((np.log(u) + lg_a + np.log(a)) / a)
-    x = max(x, 1e-300)
 
-    # Establish a sign bracket around the root.
-    lo, hi = 0.0, np.inf
-    f = reg_lower_gamma(a, x) - u
-    grow = 0
-    while f < 0.0 and grow < 400:
-        lo = x
-        x = x * 2.0 if x > 0 else 1e-300
-        f = reg_lower_gamma(a, x) - u
-        grow += 1
-    if grow:
-        hi = x
-    else:
-        while f > 0.0 and grow < 400:
-            hi = x
-            x *= 0.5
-            f = reg_lower_gamma(a, x) - u
-            grow += 1
-        lo = x if f < 0.0 else 0.0
-        if f < 0.0:
-            x = 0.5 * (lo + hi)
-            f = reg_lower_gamma(a, x) - u
-    if grow >= 400:
-        raise ConvergenceError("inv_reg_lower_gamma failed to bracket the root")
+def inv_reg_upper_gamma(a: float, q):
+    """Solve Q(a, x) = q for x, with a > 0 and 0 < q < 1, elementwise.
 
-    for _ in range(200):
-        if abs(f) <= 1e-13:
-            break
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        # Newton step using the density P'(a,x) = x^(a-1) e^(-x) / Gamma(a).
-        log_pdf = (a - 1.0) * np.log(x) - x - lg_a
-        step_ok = log_pdf > -700.0
-        if step_ok:
-            x_new = x - f / np.exp(log_pdf)
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + (hi if np.isfinite(hi) else 2.0 * max(x, 1.0)))
-        if x_new == x:
-            break
-        x = x_new
-        f = reg_lower_gamma(a, x) - u
-    return float(x)
+    Same solver as inv_reg_lower_gamma, reading q directly, so upper-tail
+    levels such as q = 1e-300 never pass through 1 - q.
+    """
+    return _inv_gamma(a, q, upper=True)
 
 
 def _mt_core(shape: float, rng: RngStream, n: int) -> np.ndarray:

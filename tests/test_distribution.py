@@ -1,6 +1,7 @@
 """Density, CDF, quantile, sampler, and moment formulas for the family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gamgen import (
     RngStream,
     Sample,
     cdf,
+    isf,
     log_pdf,
     make_generator,
     moment_exists,
@@ -25,6 +27,7 @@ from gamgen import (
     population_mu_limit,
     quantile,
     sample,
+    sf,
 )
 
 from conftest import CATALOG_SWEEP, sweep_ids
@@ -89,6 +92,55 @@ def test_cdf_quantile_round_trip(name, shapes):
         assert np.all(ys > 0.0)
         back = cdf(ys, params, g)
         assert np.max(np.abs(back - us)) < 1e-8
+        # relative accuracy deep in both tails, and sf/isf for the upper one
+        levels = np.array([1e-12, 1e-6, 0.5, 1.0 - 1e-6])
+        back = cdf(quantile(levels, params, g), params, g)
+        assert np.all(np.abs(back - levels) <= 1e-10 * levels)
+        back = sf(isf(levels, params, g), params, g)
+        assert np.all(np.abs(back - levels) <= 1e-10 * levels)
+        assert abs(cdf(1.3, params, g) + sf(1.3, params, g) - 1.0) <= 1e-15
+
+
+def test_tail_accuracy_against_scipy():
+    ig = make_generator("inverse-gamma")
+    law = scipy.stats.gamma(3.0, scale=1.0 / 3.0)  # T(Y) = 1/Y for (mu, sigma) = (3, 1)
+    for y in (0.05, 0.1):
+        ref = law.sf(1.0 / y)
+        assert abs(cdf(y, FamilyParams(3.0, 1.0), ig) - ref) <= 1e-12 * ref
+    g = make_generator("gamma")
+    for u in (1e-300, 1e-12, 1.0 - 1e-12):
+        ref = law.ppf(u) if u < 0.5 else law.isf(1.0 - u)  # 1 - u is exact here
+        assert abs(quantile(u, FamilyParams(3.0, 1.0), g) - ref) <= 1e-12 * ref
+    for q in (1e-300, 1e-12):
+        ref = law.isf(q)
+        assert abs(isf(q, FamilyParams(3.0, 1.0), g) - ref) <= 1e-12 * ref
+    # a decreasing generator inverts Q at u itself, never P at 1 - u
+    ref = 1.0 / law.isf(1e-300)
+    assert abs(quantile(1e-300, FamilyParams(3.0, 1.0), ig) - ref) <= 1e-12 * ref
+
+
+def test_tail_underflow_is_exact_or_named():
+    # T(y) underflows to 0: cdf and sf need only T, log_pdf needs ln T or ln|T'|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        burr = make_generator("burr-xii", c=2.0)
+        assert cdf(1e-300, FamilyParams(3.0, 1.0), burr) == 0.0
+        assert sf(1e-300, FamilyParams(3.0, 1.0), burr) == 1.0
+        points = [
+            (burr, 1e-300),
+            (burr, 1e-160),
+            (make_generator("dagum", c=2.0), 1e300),
+            (make_generator("traditional-weibull"), 1e-300),
+            (make_generator("flexible-weibull", b=1.0, c=0.5), 1e-300),
+            (make_generator("flexible-weibull", b=1.0, c=0.5), 1e-160),
+            (make_generator("modified-weibull-extension", alpha=2.0, beta=1.5), 1e-300),
+        ]
+        for g, y in points:
+            with pytest.raises(OverflowInValue):
+                log_pdf(y, FamilyParams(2.0, 1.0), g)
+        # the root, about 1e-6000, is below the float64 normal range
+        with pytest.raises(OverflowInValue):
+            quantile(1e-300, FamilyParams(0.05, 1.0), make_generator("gamma"))
 
 
 @pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -9,15 +10,23 @@ import scipy.stats
 
 from gamgen import (
     DomainError,
+    OverflowInValue,
     RngStream,
     digamma,
     inv_reg_lower_gamma,
+    inv_reg_upper_gamma,
     log_gamma,
     reg_lower_gamma,
+    reg_upper_gamma,
     sample_gamma,
 )
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 61)
+
+# Shapes and levels of the incomplete-gamma inverse sweep, both tails included.
+INV_SHAPES = (0.05, 0.3, 0.5, 1.0, 2.5, 3.0, 7.0, 40.0, 300.0)
+INV_LEVELS = (1e-300, 1e-100, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.99,
+              1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 1e-16)
 
 
 def test_log_gamma_pins():
@@ -106,12 +115,94 @@ def test_inv_reg_lower_gamma_round_trip():
             assert abs(reg_lower_gamma(a, x) - u) < 1e-9
 
 
+def _scipy_inverse(a, level, upper):
+    # the smaller tail probability is exact: hand scipy that one
+    if level > 0.5:
+        level, upper = 1.0 - level, not upper
+    return float(sps.gammainccinv(a, level) if upper else sps.gammaincinv(a, level))
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_inv_incomplete_gamma_matches_scipy_in_both_tails(upper):
+    inverse = inv_reg_upper_gamma if upper else inv_reg_lower_gamma
+    checked = 0
+    for a in INV_SHAPES:
+        for level in INV_LEVELS:
+            ref = _scipy_inverse(a, level, upper)
+            if ref < 1e-290:
+                continue
+            x = inverse(a, level)
+            assert abs(x - ref) <= 1e-12 * ref, (a, level, x, ref)
+            checked += 1
+    assert checked > 90
+
+
+def test_inv_incomplete_gamma_against_mpmath():
+    # roots of ln P(a, x) = ln u and ln Q(a, x) = ln q polished by Newton at 40 digits
+    cases = [(0.5, 1e-100, False), (40.0, 1e-12, True), (300.0, 1e-300, True)]
+    with mpmath.workdps(40):
+        for a, level, upper in cases:
+            ours = (inv_reg_upper_gamma if upper else inv_reg_lower_gamma)(a, level)
+            x = mpmath.mpf(ours)
+            for _ in range(4):
+                if upper:
+                    prob = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                else:
+                    prob = mpmath.gammainc(a, 0, x, regularized=True)
+                dens = x ** (a - 1) * mpmath.exp(-x) / mpmath.gamma(a)
+                slope = (-dens if upper else dens) / prob
+                x -= (mpmath.log(prob) - mpmath.log(level)) / slope
+            root = float(x)
+            assert abs(ours - root) <= 1e-13 * root, (a, level, ours, root)
+
+
+def test_inv_incomplete_gamma_array_equals_per_element_calls():
+    levels = np.array(INV_LEVELS).reshape(3, 4)
+    for a in (1.0, 3.0, 300.0):
+        for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
+            whole = inverse(a, levels)
+            assert whole.shape == levels.shape
+            single = np.array([inverse(a, float(v)) for v in levels.ravel()])
+            assert np.array_equal(whole.ravel(), single)
+            assert isinstance(inverse(a, 0.5), float)
+
+
+def test_inv_incomplete_gamma_below_normal_range_raises():
+    # the roots, about 1e-6000 and 1e-2000, have no float64 representation
+    with pytest.raises(OverflowInValue):
+        inv_reg_lower_gamma(0.05, 1e-300)
+    with pytest.raises(OverflowInValue):
+        inv_reg_upper_gamma(0.001, 0.99)
+
+
+def test_reg_upper_gamma_matches_scipy():
+    for a in (0.05, 0.5, 1.0, 2.5, 7.0, 40.0, 300.0):
+        for x in (a * 0.1, a * 0.5, a, a * 2.0, a * 8.0, a + 600.0):
+            ref = float(sps.gammaincc(a, x))
+            if ref < 1e-290:
+                continue
+            assert abs(reg_upper_gamma(a, x) - ref) <= 1e-12 * ref, (a, x)
+    assert reg_upper_gamma(2.0, 0.0) == 1.0
+    xs = np.array([0.5, 3.0, 40.0])
+    q = reg_upper_gamma(3.0, xs)
+    assert q.shape == xs.shape
+    assert np.all(np.abs(q + reg_lower_gamma(3.0, xs) - 1.0) <= 1e-15)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            reg_upper_gamma(2.0, bad)
+    with pytest.raises(DomainError):
+        reg_upper_gamma(0.0, 1.0)
+
+
 def test_inv_reg_lower_gamma_domain():
     for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
         with pytest.raises(DomainError):
             inv_reg_lower_gamma(2.0, bad)
     with pytest.raises(DomainError):
         inv_reg_lower_gamma(-1.0, 0.5)
+    for bad in (0.0, 1.0, np.nan):
+        with pytest.raises(DomainError):
+            inv_reg_upper_gamma(2.0, bad)
 
 
 def test_sample_gamma_moments():
