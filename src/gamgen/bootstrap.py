@@ -2,11 +2,15 @@
 
 Randomness is consumed in a fixed order so results are reproducible: the full
 (B, n) index matrix is drawn first, every row is evaluated, and only then are
-failed rows redrawn one at a time in ascending row order, up to MAX_REDRAWS
-times each, before being excluded. _resample_estimates is that loop, and it
-is the only one: bootstrap_bias_reduce runs it with a per-resample estimator
-call, the study engine in experiment.py with a vectorized evaluation of row
-means.
+failed rows redrawn in ascending row order, up to MAX_REDRAWS times each,
+before being excluded. The redraws are evaluated in rounds: a round draws one
+candidate row per still-unresolved resample, evaluates them all in one call
+and hands them out in draw order, the current row taking candidates until one
+succeeds or its tries run out. Every unresolved row needs at least one more
+candidate, so each drawn row is used, and the stream is consumed exactly as by
+one row at a time. _resample_estimates is that loop, and it is the only one:
+bootstrap_bias_reduce runs it with a per-resample estimator call, the study
+engine in experiment.py with a vectorized evaluation of row means.
 """
 
 from __future__ import annotations
@@ -29,18 +33,29 @@ MAX_REDRAWS = 10
 def _resample_estimates(n: int, B: int, rng: RngStream, evaluate: Callable):
     """Estimates on B resamples of n indices: ((k, B) array, ok mask (B,)).
 
-    evaluate maps an (m, n) index matrix to ((k, m) estimates, ok (m,)).
-    Rows that still fail after MAX_REDRAWS redraws stay False in the mask.
+    evaluate maps an (m, n) index matrix to ((k, m) estimates, ok (m,)), row
+    by row, so a row's result does not depend on the rows evaluated with it.
+    Failed rows are redrawn in rounds of one candidate per unresolved row,
+    drawn one row at a time and assigned in ascending row order, which takes
+    the same draws and gives the same result as redrawing each row on its
+    own. Rows that still fail after MAX_REDRAWS redraws stay False in the mask.
     """
     theta, ok = evaluate(rng.integers(0, n, size=(B, n)))
-    for b in np.nonzero(~ok)[0]:
-        for _ in range(MAX_REDRAWS):
-            # a scalar size: perfbench/layertrace.py counts redraws by it
-            th, ok_row = evaluate(rng.integers(0, n, size=n)[None, :])
-            if ok_row[0]:
-                theta[:, b] = th[:, 0]
+    pending = np.nonzero(~ok)[0]
+    i = tries = 0
+    while i < pending.size:
+        # scalar sizes: perfbench/layertrace.py counts redraws by them
+        idx = np.stack([rng.integers(0, n, size=n) for _ in range(pending.size - i)])
+        th, ok_rows = evaluate(idx)
+        for j in range(idx.shape[0]):
+            b = pending[i]
+            tries += 1
+            if ok_rows[j]:
+                theta[:, b] = th[:, j]
                 ok[b] = True
-                break
+            if ok_rows[j] or tries == MAX_REDRAWS:
+                i += 1
+                tries = 0
     return theta, ok
 
 

@@ -102,6 +102,18 @@ def _as_positive_array(y, what: str):
     return arr, arr.ndim == 0
 
 
+def _power(y, p):
+    """y ** p, raising OverflowInValue where it leaves the float64 range."""
+    try:
+        with np.errstate(over="ignore"):
+            x = y**p
+    except OverflowError:  # y is a Python float
+        x = np.inf
+    if not np.isfinite(x).all():
+        raise OverflowInValue("Y^p overflowed float64 range")
+    return x
+
+
 def _t1_and_log(g: Generator, x):
     """Generator value and its log; a log channel only improves the log.
 
@@ -131,7 +143,7 @@ def log_pdf(y, params: FamilyParams, g: Generator):
     """
     arr, scalar = _as_positive_array(y, "log_pdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    x = arr**p
+    x = _power(arr, p)
     t1, log_t1 = _t1_and_log(g, x)
     with np.errstate(divide="ignore"):
         log_d1 = np.log(np.abs(g.d1(x)))
@@ -159,7 +171,7 @@ def _tail(y, params: FamilyParams, g: Generator, upper: bool):
     """
     arr, scalar = _as_positive_array(y, "sf argument" if upper else "cdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    t1 = g.value(arr**p)
+    t1 = g.value(_power(arr, p))
     if not np.isfinite(t1).all():
         raise OverflowInValue("generator value overflowed float64 range")
     on_q = upper != (g.monotonicity == "decreasing")
@@ -192,7 +204,7 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     on_q = upper != (g.monotonicity == "decreasing")
     z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)
     x = inverse_of(g, z / (mu * sigma))
-    y = x ** (1.0 / p) if p != 1.0 else x
+    y = _power(x, 1.0 / p) if p != 1.0 else x
     return float(y) if scalar else np.asarray(y)
 
 
@@ -214,7 +226,7 @@ def sample(n: int, params: FamilyParams, g: Generator, rng: RngStream) -> np.nda
     mu, sigma, p = params.mu, params.sigma, params.power
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=n)
     x = inverse_of(g, z)
-    return x ** (1.0 / p) if p != 1.0 else x
+    return _power(x, 1.0 / p) if p != 1.0 else x
 
 
 def moment_power_law(q: float, params: FamilyParams, C: float, s: float) -> float:

@@ -107,7 +107,8 @@ def log_gamma(x):
             break
         shift[mask] += np.log(w[mask])
         w[mask] += 1.0
-    t = 1.0 / (w * w)
+    with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
+        t = 1.0 / (w * w)
     series = _STIRLING[-1]
     for coef in _STIRLING[-2::-1]:
         series = coef + t * series
@@ -123,20 +124,26 @@ def digamma(x):
     cutoff, far below the lift's own rounding floor near x ~ 1e-6).
     """
     arr, scalar = _prepare(x, "digamma")
-    w = arr.copy()
+    with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
+        out = _digamma(arr)
+    return float(out) if scalar else out
+
+
+def _digamma(arr: np.ndarray) -> np.ndarray:
+    """digamma on a float64 array already known to be finite and > 0."""
+    w = arr
     shift = np.zeros_like(w)
     for _ in range(6):
         mask = w < 6.0
         if not mask.any():
             break
-        shift[mask] += 1.0 / w[mask]
-        w[mask] += 1.0
+        shift = np.where(mask, shift + 1.0 / w, shift)
+        w = np.where(mask, w + 1.0, w)
     t = 1.0 / (w * w)
     series = _DIGAMMA[-1]
     for coef in _DIGAMMA[-2::-1]:
         series = coef + t * series
-    out = np.log(w) - 0.5 / w - t * series - shift
-    return float(out) if scalar else out
+    return np.log(w) - 0.5 / w - t * series - shift
 
 
 def _lower_series(a, x, log_prefactor):
@@ -185,12 +192,47 @@ def _upper_cf(a, x, log_prefactor):
     return np.exp(log_prefactor) * h
 
 
+# zeta(2), ..., zeta(20): ln Gamma(1 + a) = -gamma a + sum_k (-a)^k zeta(k) / k.
+_ZETA = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+    1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+    1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+    1.000003817293265, 1.0000019082127165, 1.0000009539620338,
+)
+_LGAMMA1P = (-0.5772156649015329,) + tuple(
+    (-1.0) ** k * z / k for k, z in enumerate(_ZETA, start=2)
+)
+_SMALL_A = 0.1  # below this shape, Q is taken directly where it is the smaller tail
+
+
+def _upper_small_a(a, x):
+    """Q(a, x) for a < 0.1 and x < a+1 (DiDonato & Morris, 1986).
+
+    Q = -expm1(u) - a (1 + expm1(u)) sum_{k>=1} (-x)^k / (k! (a + k)) with
+    u = a ln x - ln Gamma(1 + a), and ln Gamma(1 + a) from its Taylor series,
+    so Q keeps its relative accuracy instead of being formed as 1 - P.
+    """
+    c = _LGAMMA1P[-1]
+    for coef in _LGAMMA1P[-2::-1]:
+        c = coef + a * c
+    e = np.expm1(a * (np.log(x) - c))  # c = ln Gamma(1 + a) / a
+    term = np.ones_like(x)
+    total = np.zeros_like(x)
+    for k in range(1, 23):  # x < 1.1, so x^22 / 22! is below 1e-20
+        term = term * -x / k
+        total = total + term / (a + k)
+    return -e - a * (1.0 + e) * total
+
+
 def _gamma_pq(a, x, lg_a):
     """(P(a, x), Q(a, x)) for a > 0 and x >= 0, given lg_a = ln Gamma(a).
 
     The power series gives P on x < a+1 and the continued fraction gives Q
     elsewhere, each to relative machine precision; the other one is its
-    complement. Arguments broadcast and the results are arrays.
+    complement, except that for a < 0.1, where Q is already the smaller tail
+    below a+1, Q comes from its own series there. Arguments broadcast and the
+    results are arrays.
     """
     a, x, lg_a = np.broadcast_arrays(a, x, lg_a)
     p = np.zeros(x.shape)
@@ -201,6 +243,9 @@ def _gamma_pq(a, x, lg_a):
     if lower.any():
         p[lower] = _lower_series(a[lower], x[lower], log_pref[lower])
         q[lower] = 1.0 - p[lower]
+        direct = lower & (a < _SMALL_A) & (p > 0.5)
+        if direct.any():
+            q[direct] = _upper_small_a(a[direct], x[direct])
     upper = pos & ~lower
     if upper.any():
         q[upper] = _upper_cf(a[upper], x[upper], log_pref[upper])

@@ -17,7 +17,75 @@ from gamgen import (
     rmse,
     sample as draw,
 )
+from gamgen.bootstrap import MAX_REDRAWS, _resample_estimates
 from gamgen.experiment import _BOOT_BIT, _run_cell
+
+
+def _sequential_resample(n, B, rng, evaluate):
+    """Reference: every failed row redrawn on its own, one row per call."""
+    theta, ok = evaluate(rng.integers(0, n, size=(B, n)))
+    for b in np.nonzero(~ok)[0]:
+        for _ in range(MAX_REDRAWS):
+            th, ok_row = evaluate(rng.integers(0, n, size=n)[None, :])
+            if ok_row[0]:
+                theta[:, b] = th[:, 0]
+                ok[b] = True
+                break
+    return theta, ok
+
+
+class _Scripted:
+    """An evaluate that numbers the rows it sees in order and rejects the
+    numbers in ``reject`` (or, with reject=None, the all-equal rows)."""
+
+    def __init__(self, reject=None):
+        self.reject = reject
+        self.rows = 0
+        self.calls = 0
+
+    def __call__(self, idx):
+        seq = np.arange(self.rows, self.rows + idx.shape[0])
+        self.rows += idx.shape[0]
+        self.calls += 1
+        if self.reject is None:
+            ok = np.ptp(idx, axis=1) != 0
+        else:
+            ok = ~np.isin(seq, self.reject)
+        theta = np.vstack([idx.sum(axis=1) + 0.25 * seq, seq.astype(np.float64)])
+        return np.where(ok, theta, np.nan), ok
+
+
+def test_resample_rounds_match_one_row_redraws():
+    B, n = 12, 5
+    tries = MAX_REDRAWS
+    # initial rows 2, 5, 9 fail; row 2 succeeds on its last try, row 5 runs
+    # out of tries, row 9 succeeds on its first
+    first = B + tries - 1
+    reject = [2, 5, 9, *range(B, first), *range(first + 1, first + 1 + tries)]
+    rounds, sequential = _Scripted(reject), _Scripted(reject)
+    rng_a, rng_b = RngStream(21, 4), RngStream(21, 4)
+    theta, ok = _resample_estimates(n, B, rng_a, rounds)
+    ref_theta, ref_ok = _sequential_resample(n, B, rng_b, sequential)
+    assert np.array_equal(theta, ref_theta, equal_nan=True)
+    assert np.array_equal(ok, ref_ok)
+    assert list(np.nonzero(~ok)[0]) == [5]
+    assert theta[1, 2] == first and theta[1, 9] == first + 1 + tries
+    assert rounds.rows == sequential.rows == first + 2 + tries
+    assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
+def test_resample_rounds_batch_the_redraws():
+    B, n = 200, 3
+    rounds, sequential = _Scripted(), _Scripted()
+    rng_a, rng_b = RngStream(8, 1), RngStream(8, 1)
+    theta, ok = _resample_estimates(n, B, rng_a, rounds)
+    ref_theta, ref_ok = _sequential_resample(n, B, rng_b, sequential)
+    assert np.array_equal(theta, ref_theta, equal_nan=True)
+    assert np.array_equal(ok, ref_ok)
+    assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+    redraws = rounds.rows - B
+    assert redraws == sequential.rows - B > 10
+    assert rounds.calls < redraws
 
 
 def test_constant_estimator_is_fixed_point():

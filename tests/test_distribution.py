@@ -181,6 +181,21 @@ def test_sampler_and_quantile_raise_on_inverse_overflow():
         quantile(0.5, FamilyParams(2.0, 1e-6), g)
 
 
+def test_power_overflow_is_named():
+    # y^p and x^(1/p) past the float64 range raise instead of warning
+    g = make_generator("gamma")
+    for fn in (cdf, sf, log_pdf):
+        with pytest.raises(OverflowInValue):
+            fn(1e200, FamilyParams(1.0, 1.0, 2.0), g)
+    wide = FamilyParams(1.0, 1.0, 0.001)
+    with pytest.raises(OverflowInValue):
+        sample(5, FamilyParams(5.0, 0.2, 0.001), g, RngStream(1, 0))
+    with pytest.raises(OverflowInValue):
+        quantile(1.0 - 1e-12, wide, g)
+    with pytest.raises(OverflowInValue):
+        isf(np.array([1e-12]), wide, g)
+
+
 def test_sampler_transformed_mean():
     # E[T1(Y^p)] = 1/sigma under the stochastic representation
     cases = [

@@ -1,5 +1,7 @@
 """Monte Carlo experiment harness: grids, metrics rows, CSV determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_csv_bytes_stable_across_runs_and_workers(tmp_path):
     assert blobs[0] == blobs[2]
     assert b"\r" not in blobs[0]
     assert blobs[0].decode("utf-8").splitlines()[0] == HEADER
+
+
+def test_ml_grid_csv_bytes_are_pinned(tmp_path):
+    # the n = 3 and n = 4 cells redraw all-equal resamples and solve for the
+    # ML shape; work on the speed of the study engine must not move a byte
+    cfg = ExperimentConfig("gamma", ({"alpha": 2.0, "beta": 0.5},), (3, 4), 20, 200, 7, "ml")
+    path = tmp_path / "grid.csv"
+    write_csv(run_experiment(cfg), path)
+    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+    assert digest == "a1c380fb4612ded410985cc214e8a4fdcc1c105c"
 
 
 def test_workers_must_be_positive():

@@ -51,6 +51,12 @@ def test_log_gamma_domain():
             log_gamma(bad)
 
 
+def test_large_arguments_return_without_overflow_warning():
+    # w * w overflows past ~1e154; the series term it feeds is then 0
+    assert log_gamma(1e200) == pytest.approx(1e200 * (math.log(1e200) - 1.0), rel=1e-15)
+    assert digamma(1e200) == pytest.approx(math.log(1e200), rel=1e-15)
+
+
 def test_digamma_pins():
     # contract: absolute error <= 1e-10 on [1e-6, 1e6]
     euler = 0.5772156649015329
@@ -192,6 +198,23 @@ def test_reg_upper_gamma_matches_scipy():
             reg_upper_gamma(2.0, bad)
     with pytest.raises(DomainError):
         reg_upper_gamma(0.0, 1.0)
+
+
+def test_reg_upper_gamma_small_shape_against_mpmath():
+    # below a = 0.1, Q < P already on x < a + 1, so 1 - P would lose digits
+    with mpmath.workdps(40):
+        for a in (1e-3, 0.01, 0.05):
+            xs = np.geomspace(0.05, a + 1.0, 40, endpoint=False)
+            ours = reg_upper_gamma(a, xs)
+            for x, q in zip(xs, ours):
+                ref = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+                assert abs(q - ref) <= 1e-13 * ref, (a, x, q, ref)
+
+
+def test_reg_upper_gamma_is_complement_from_shape_one_tenth():
+    for a in (0.1, 0.5, 3.0):
+        xs = np.linspace(0.01, a + 1.0, 25, endpoint=False)
+        assert np.array_equal(reg_upper_gamma(a, xs), 1.0 - reg_lower_gamma(a, xs))
 
 
 def test_inv_reg_lower_gamma_domain():
