@@ -411,27 +411,48 @@ def inv_reg_upper_gamma(a: float, q):
 
 
 def _mt_core(shape: float, rng: RngStream, n: int) -> np.ndarray:
-    """Marsaglia-Tsang draws for shape >= 1 at unit scale."""
+    """Marsaglia-Tsang draws for shape >= 1 at unit scale.
+
+    Each pass draws m normals, then m uniforms, for the m indices still
+    pending. The first pass (m = n) works in place on x, v and u, forms the
+    squeeze bound in ``out`` before writing its accepted draws there, and
+    takes the log test only on the few entries the squeeze leaves, so a call
+    holds four n-sized arrays. Short-lived large temporaries are what the C
+    allocator hands back to the system and faults in afresh on the next
+    call, which would tie a call's cost to the process's allocation history.
+    The operations are those of the textbook expressions, so every draw
+    keeps its bits.
+    """
     d = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(n, dtype=np.float64)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
+    pending = None  # every index, on the first pass
+    while pending is None or pending.size:
+        m = n if pending is None else pending.size
         x = rng.standard_normal(m)
-        v = (1.0 + c * x) ** 3
+        v = c * x
+        v += 1.0
+        v **= 3  # (1 + c x)^3
         u = rng.random(m)
         ok = v > 0.0
-        x2 = x * x
-        accept = ok & (u < 1.0 - 0.0331 * x2 * x2)
-        rest = ok & ~accept
-        if rest.any():
+        x *= x  # x^2 from here on
+        bound = out if pending is None else np.empty(m)
+        np.multiply(0.0331, x, out=bound)
+        bound *= x
+        np.subtract(1.0, bound, out=bound)  # 1 - 0.0331 x^4
+        accept = ok & (u < bound)
+        rest = np.flatnonzero(ok & ~accept)
+        if rest.size:
             with np.errstate(divide="ignore"):
-                logu = np.log(u)
-            safe_v = np.where(ok, v, 1.0)
-            accept |= rest & (logu < 0.5 * x2 + d * (1.0 - safe_v + np.log(safe_v)))
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
+                logu = np.log(u[rest])
+            vr = v[rest]
+            accept[rest] = logu < 0.5 * x[rest] + d * (1.0 - vr + np.log(vr))
+        if pending is None:
+            np.multiply(d, v, out=out, where=accept)
+            pending = np.flatnonzero(~accept)
+        else:
+            out[pending[accept]] = d * v[accept]
+            pending = pending[~accept]
     return out
 
 
@@ -455,9 +476,11 @@ def sample_gamma(shape, scale, rng: RngStream, size=None):
         draws = _mt_core(shape, rng, n)
     else:
         draws = _mt_core(shape + 1.0, rng, n)
-        u = 1.0 - rng.random(n)  # in (0, 1], keeps the boost strictly positive
-        draws = draws * u ** (1.0 / shape)
-    draws = draws * scale
+        u = rng.random(n)
+        np.subtract(1.0, u, out=u)  # in (0, 1], keeps the boost strictly positive
+        u **= 1.0 / shape
+        draws *= u
+    draws *= scale
     # Guard against underflow to exactly zero at extreme shapes.
     np.maximum(draws, 5e-324, out=draws)
     return float(draws[0]) if size is None else draws

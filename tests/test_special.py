@@ -246,6 +246,45 @@ def test_sample_gamma_determinism():
     assert not np.array_equal(a, c)
 
 
+def _textbook_sample_gamma(shape, scale, rng, n):
+    """Marsaglia-Tsang with the boost below shape 1, one expression per step."""
+    a = shape if shape >= 1.0 else shape + 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        m = pending.size
+        x = rng.standard_normal(m)
+        v = (1.0 + c * x) ** 3
+        u = rng.random(m)
+        ok = v > 0.0
+        x2 = x * x
+        accept = ok & (u < 1.0 - 0.0331 * x2 * x2)
+        rest = ok & ~accept
+        if rest.any():
+            with np.errstate(divide="ignore"):
+                logu = np.log(u)
+            safe_v = np.where(ok, v, 1.0)
+            accept |= rest & (logu < 0.5 * x2 + d * (1.0 - safe_v + np.log(safe_v)))
+        out[pending[accept]] = d * v[accept]
+        pending = pending[~accept]
+    if shape < 1.0:
+        out = out * (1.0 - rng.random(n)) ** (1.0 / shape)
+    return np.maximum(out * scale, 5e-324)
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0])
+@pytest.mark.parametrize("n", [0, 1, 7, 20_000])
+def test_sample_gamma_keeps_textbook_bits(shape, n):
+    # the in-place sampler draws the same stream and gives the same bits
+    got_rng, ref_rng = RngStream(3, 17), RngStream(3, 17)
+    got = sample_gamma(shape, 0.7, got_rng, size=n)
+    ref = _textbook_sample_gamma(shape, 0.7, ref_rng, n)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got_rng.random(4), ref_rng.random(4))
+
+
 def test_sample_gamma_ks_against_own_cdf():
     # distribution check against this module's own reg_lower_gamma
     draws = sample_gamma(2.5, 1.0, RngStream(11, 0), size=30_000)
