@@ -128,6 +128,16 @@ def test_ml_grid_csv_bytes_are_pinned(tmp_path):
     assert digest == "a1c380fb4612ded410985cc214e8a4fdcc1c105c"
 
 
+def test_smoke_grid_csv_bytes_are_pinned(tmp_path):
+    # the closed-form study grid of `gamgen experiment --smoke --seed 5`: its
+    # bootstrap gathers the pointwise rows of the NLGG closed form up to
+    # n = 600, so a faster gather must not move a byte
+    path = tmp_path / "smoke.csv"
+    write_csv(run_experiment(smoke_config(5)), path)
+    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+    assert digest == "85681d82502093e1e46377b61c894aa42d83c7b2"
+
+
 def test_workers_must_be_positive():
     with pytest.raises(DomainError):
         run_experiment(small_config(n=(8,), N=1, B=0), workers=0)
