@@ -8,9 +8,16 @@ candidate row per still-unresolved resample, evaluates them all in one call
 and hands them out in draw order, the current row taking candidates until one
 succeeds or its tries run out. Every unresolved row needs at least one more
 candidate, so each drawn row is used, and the stream is consumed exactly as by
-one row at a time. _resample_estimates is that loop, and it is the only one:
-bootstrap_bias_reduce runs it with a per-resample estimator call, the study
-engine in experiment.py with a vectorized evaluation of row means.
+one row at a time. _resample_estimates is that loop, and it is the only one.
+
+A resample is evaluated in one of two ways. An estimator from
+experiment.native_estimator carries a resample_evaluator: the pointwise rows
+of the sample are computed once, and each resample's estimate comes from the
+means of those rows gathered through its index row, one contiguous row per
+estimator input (experiment._resample_evaluator). The study engine and
+bootstrap_bias_reduce both use it. Any other estimator is called once per
+resample on a new Sample. Both give the same bits for the native estimators,
+which tests pin.
 """
 
 from __future__ import annotations
@@ -59,6 +66,26 @@ def _resample_estimates(n: int, B: int, rng: RngStream, evaluate: Callable):
     return theta, ok
 
 
+def _per_resample(estimator: Callable, values: np.ndarray, k: int) -> Callable:
+    """An evaluate that calls the estimator on each resample; a library error
+    marks the row failed."""
+
+    def evaluate(idx):
+        # (k, m) orientation so the replicate mean reduces over the last
+        # axis, matching the vectorized experiment engine bit for bit
+        rows = np.full((k, idx.shape[0]), np.nan)
+        ok = np.zeros(idx.shape[0], dtype=bool)
+        for b, row in enumerate(idx):
+            try:
+                rows[:, b] = np.atleast_1d(estimator(Sample(values[row])))
+                ok[b] = True
+            except GamgenError:
+                pass
+        return rows, ok
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     estimate: np.ndarray
@@ -79,26 +106,21 @@ def bootstrap_bias_reduce(
     as length-1 vectors). It must succeed on the original sample; failures
     on bootstrap resamples (any library error) trigger redraws, then
     exclusion. All rows excluded raises BootstrapDegenerateError.
+
+    An estimator with a ``resample_evaluator`` attribute (those made by
+    native_estimator) runs once, on the original sample; its evaluator then
+    estimates every resample, redraws included, from gathered row means.
+    Any other callable is called once per resample.
     """
     B = int(B)
     if B < 1:
         raise DomainError("bootstrap needs B >= 1")
     theta_hat = np.atleast_1d(np.asarray(estimator(sample), dtype=np.float64))
-    values = sample.values
-
-    def evaluate(idx):
-        # (k, m) orientation so the replicate mean reduces over the last
-        # axis, matching the vectorized experiment engine bit for bit
-        rows = np.full((theta_hat.size, idx.shape[0]), np.nan)
-        ok = np.zeros(idx.shape[0], dtype=bool)
-        for b, row in enumerate(idx):
-            try:
-                rows[:, b] = np.atleast_1d(estimator(Sample(values[row])))
-                ok[b] = True
-            except GamgenError:
-                pass
-        return rows, ok
-
+    build = getattr(estimator, "resample_evaluator", None)
+    if build is not None:
+        evaluate = build(sample)
+    else:
+        evaluate = _per_resample(estimator, sample.values, theta_hat.size)
     rows, ok = _resample_estimates(sample.n, B, rng, evaluate)
     n_used = int(np.count_nonzero(ok))
     if n_used == 0:

@@ -208,6 +208,8 @@ def _experiment_config(args) -> ExperimentConfig:
         overrides["N"] = int(args.N)
     if args.B is not None:
         overrides["B"] = int(args.B)
+    if args.estimator is not None:
+        overrides["estimator"] = args.estimator
     if args.paper_figure1 or args.smoke:
         if args.seed is None:
             raise DomainError("presets need --seed")
@@ -230,7 +232,7 @@ def _experiment_config(args) -> ExperimentConfig:
         N=overrides.get("N", 1000),
         B=overrides.get("B", 200),
         seed=args.seed,
-        estimator=args.estimator,
+        estimator=overrides.get("estimator", "closed"),
     )
 
 
@@ -306,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--B", type=int, help="bootstrap replications")
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument(
-        "--estimator", choices=("closed", "ml", "both"), default="closed"
+        "--estimator",
+        choices=("closed", "ml", "both"),
+        help="estimator kind (default: the preset's or config's, else closed)",
     )
     p_exp.add_argument("--out", required=True, help="CSV output path")
     p_exp.add_argument("--plot", action="store_true", help="also write SVG charts")

@@ -211,10 +211,14 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
     an entry's root and iteration count do not depend on the other entries.
     An analytic trigamma derivative would take fewer digamma evaluations but
     move the Newton iterates, and with them the last bits of the root.
+
+    Returns (root, iterations, residual, (lo, hi), converged): an entry that
+    could not be bracketed or ran out of iterations is False in the mask.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.size == 0:
-        return h.copy(), np.zeros(0, dtype=np.int64), h.copy(), (h.copy(), h.copy())
+        empty = h.copy()
+        return empty, np.zeros(0, dtype=np.int64), empty, (empty, empty), np.zeros(0, bool)
     if np.any(~np.isfinite(h)) or np.any(h <= 0.0):
         raise DomainError("ML equation solve requires h > 0")
 
@@ -234,8 +238,6 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
             break
         lo[bad] /= 4.0
         flo[bad] = f_at(lo[bad], bad)
-    else:
-        raise ConvergenceError("could not bracket the ML shape root from below")
     fhi = f(hi)
     for _ in range(300):
         bad = fhi > 0.0
@@ -243,14 +245,13 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
             break
         hi[bad] *= 4.0
         fhi[bad] = f_at(hi[bad], bad)
-    else:
-        raise ConvergenceError("could not bracket the ML shape root from above")
+    bracketed = ~(flo < 0.0) & ~(fhi > 0.0)
 
     bracket0 = (lo.copy(), hi.copy())
     m = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
     fm = f(m)
     iters = np.zeros(h.shape, dtype=np.int64)
-    active = np.abs(fm) > tol
+    active = bracketed & (np.abs(fm) > tol)
     for _ in range(max_iter):
         if not active.any():
             break
@@ -272,14 +273,12 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
         m[active] = newton
         fm[active] = f_at(newton, active)
         iters[active] += 1
-        active = np.abs(fm) > tol
+        active = bracketed & (np.abs(fm) > tol)
         # ulp-limited plateau: stop when the bracket cannot shrink further
         stuck = active & ((hi - lo) <= np.spacing(lo) * 4.0)
         if stuck.any():
             active = active & ~stuck
-    if active.any():
-        raise ConvergenceError("ML shape solve exceeded the iteration budget")
-    return m, iters, fm, bracket0
+    return m, iters, fm, bracket0, bracketed & ~active
 
 
 def estimate_mu_ml(sample: Sample, g: Generator):
@@ -294,7 +293,9 @@ def estimate_mu_ml(sample: Sample, g: Generator):
         raise DegenerateSampleError(
             "all generator values equal; the ML shape estimate diverges"
         )
-    m, iters, resid, (lo, hi) = _solve_mu_ml_array(np.array([h]))
+    m, iters, resid, (lo, hi), converged = _solve_mu_ml_array(np.array([h]))
+    if not converged[0]:
+        raise ConvergenceError("ML shape solve did not converge")
     diag = SolverDiagnostics(
         iterations=int(iters[0]),
         residual=float(resid[0]),

@@ -7,10 +7,14 @@ count. Cells are independent tasks; a single reducer walks them in index
 order, which makes the CSV byte-stable.
 
 The bootstrap is vectorized: the pointwise rows of estimators._pointwise are
-computed once per replication, and bootstrap estimates come from row means
-gathered through the index matrices of bootstrap._resample_estimates, the
-resampling loop that bootstrap_bias_reduce also runs. Only the evaluation of
-a resample differs between the two, and tests pin it bit for bit.
+computed once per replication, and _resample_evaluator turns the index
+matrices of bootstrap._resample_estimates into estimates from row means. It
+gathers only the rows a kind reads (closed: T, ln y, w, a, r; ML: T, ln T),
+each as its own contiguous (m, n) block, so every mean is summed in the same
+order as on the resampled sample itself. bootstrap_bias_reduce runs the same
+loop with the same evaluator, which native_estimator attaches to its
+callable; tests pin both against one estimator call per resample, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .bootstrap import _resample_estimates, relative_bias, rmse
 from .distribution import FamilyParams, Sample, sample
-from .errors import ConvergenceError, DataError, DomainError, GamgenError, InvalidSampleError
+from .errors import DataError, DomainError, GamgenError, InvalidSampleError
 from .estimators import (
     _mean_last,
     _mu_closed_from_means,
@@ -128,22 +132,6 @@ def _family_params_of(g: Generator, theta: dict):
     return float(mu), float(sigma), tuple(g.native.names)
 
 
-def _ml_mu_rows(h: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    mu = np.full(h.shape, np.nan)
-    m = ok & np.isfinite(h) & (h > 0.0)
-    if m.any():
-        try:
-            mu[m] = _solve_mu_ml_array(h[m])[0]
-        except ConvergenceError:
-            # isolate the offending rows; the rest still solve
-            for i in np.nonzero(m)[0]:
-                try:
-                    mu[i] = _solve_mu_ml_array(np.array([h[i]]))[0][0]
-                except ConvergenceError:
-                    pass
-    return mu
-
-
 def _theta_from_means(M: np.ndarray, g: Generator, param_names, kind: str,
                       spread_ok: np.ndarray):
     """Estimates from column means M (6, B): returns ((k, B) array, ok mask).
@@ -164,7 +152,9 @@ def _theta_from_means(M: np.ndarray, g: Generator, param_names, kind: str,
         else:
             h = np.log(mean_t1) - mean_lt1
             ok = base & np.isfinite(h) & (h > 0.0)
-            mu = _ml_mu_rows(h, ok)
+            mu = np.full(h.shape, np.nan)
+            root, _, _, _, converged = _solve_mu_ml_array(h[ok])
+            mu[ok] = np.where(converged, root, np.nan)
             ok = ok & np.isfinite(mu)
         if param_names == ("mu", "sigma") or g.native is None:
             theta = np.vstack([mu, sigma])
@@ -179,8 +169,11 @@ def _theta_from_means(M: np.ndarray, g: Generator, param_names, kind: str,
 def native_estimator(g: Generator, kind: str, param_names=None):
     """Sample -> parameter vector callable matching the vectorized engine.
 
-    Used by the generic bootstrap routine and by tests pinning the two code
-    paths against each other.
+    The callable carries ``resample_evaluator``, which maps a Sample to the
+    study engine's means-based evaluation of its resamples (see
+    _resample_evaluator). bootstrap_bias_reduce uses it, so the estimator
+    itself runs once, on the original sample; a plain wrapper around the
+    callable has no such attribute and keeps one estimator call per resample.
     """
     if param_names is None:
         param_names = tuple(g.native.names) if g.native is not None else ("mu", "sigma")
@@ -200,6 +193,10 @@ def native_estimator(g: Generator, kind: str, param_names=None):
             raise InvalidSampleError("parameter estimate is not finite")
         return theta
 
+    def resample_evaluator(s: Sample):
+        return _resample_evaluator(_pointwise(g, s.values), s.values, g, param_names, kind)
+
+    estimate.resample_evaluator = resample_evaluator
     return estimate
 
 
@@ -210,14 +207,33 @@ def _spread_mask(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ptp(y[idx], axis=-1) != 0.0
 
 
+# the pointwise rows (estimators._pointwise) each kind's estimate reads
+_KIND_ROWS = {"closed": (0, 2, 3, 4, 5), "ml": (0, 1)}
+
+
+def _resample_evaluator(P, y, g, param_names, kind):
+    """The evaluate of bootstrap._resample_estimates for one sample y with
+    pointwise rows P: (m, n) index matrix -> ((k, m) estimates, ok (m,)).
+
+    Each row the kind reads is gathered on its own: P[r] is a contiguous row,
+    so P[r][idx] is a C-contiguous (m, n) block that _mean_last sums in
+    place, in the same order as the row means of the resampled sample.
+    """
+    rows = _KIND_ROWS[kind]
+
+    def evaluate(idx):
+        M = np.full((P.shape[0], idx.shape[0]), np.nan)
+        for r in rows:
+            M[r] = _mean_last(P[r][idx])
+        return _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
+
+    return evaluate
+
+
 def _correct_kind(P, y, n, B, brng, g, param_names, kind, theta_hat):
     """Bias-reduced vector for one estimator kind, or None if every resample
     failed."""
-
-    def evaluate(idx):
-        M = _mean_last(P[:, idx])
-        return _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
-
+    evaluate = _resample_evaluator(P, y, g, param_names, kind)
     theta, ok = _resample_estimates(n, B, brng, evaluate)
     if not ok.any():
         return None

@@ -13,11 +13,13 @@ from gamgen import (
     bootstrap_bias_reduce,
     make_generator,
     native_estimator,
+    parse_generator_spec,
     relative_bias,
     rmse,
     sample as draw,
 )
 from gamgen.bootstrap import MAX_REDRAWS, _resample_estimates
+from gamgen import experiment
 from gamgen.experiment import _BOOT_BIT, _run_cell
 
 
@@ -212,7 +214,8 @@ def test_vectorized_engine_matches_generic_bootstrap():
                 est = native_estimator(g, kind, ("mu", "sigma"))
                 assert np.array_equal(raw[kind][rep], est(Sample(y)))
                 brng = RngStream(seed, base_id | _BOOT_BIT[kind])
-                res = bootstrap_bias_reduce(Sample(y), est, B, brng)
+                # a plain wrapper has no resample_evaluator: one call per resample
+                res = bootstrap_bias_reduce(Sample(y), lambda s: est(s), B, brng)
                 assert np.array_equal(res.estimate, corrected[kind][rep])
 
 
@@ -225,3 +228,61 @@ def test_ml_cell_at_n3_keeps_estimates_bounded():
     alpha = corrected["ml"][:, 0]
     assert np.all(np.isfinite(alpha))
     assert np.all(np.abs(alpha) < 1e10)
+
+
+def _bootstrap_outcome(y, est, B, stream):
+    """Everything a bootstrap call returns or raises, and the next draw."""
+    rng = RngStream(77, stream)
+    try:
+        res = bootstrap_bias_reduce(Sample(y), est, B, rng)
+    except Exception as ex:  # noqa: BLE001 - both paths must raise alike
+        return type(ex).__name__, rng.integers(0, 2**62)
+    return (res.estimate, res.uncorrected, res.n_used, res.n_excluded), rng.integers(0, 2**62)
+
+
+def test_native_evaluator_matches_per_resample_calls():
+    # the means-based evaluator that native_estimator attaches must give the
+    # bits of one estimator call per resample, redraws and exclusions included
+    cases = (
+        ("gamma", FamilyParams(2.0, 1.5)),
+        ("new-log-generalized-gamma(delta=1)", FamilyParams(1.5, 2.0)),
+        ("dagum(c=2)", FamilyParams(3.0, 0.5)),
+    )
+    results = 0
+    for gi, (spec, params) in enumerate(cases):
+        g = parse_generator_spec(spec)
+        for n in (3, 20):
+            y = draw(n, params, g, RngStream(31, 100 * gi + n))
+            for kind in ("closed", "ml"):
+                est = native_estimator(g, kind)
+                assert hasattr(est, "resample_evaluator")
+                for B in (8, 200):
+                    stream = 1000 * gi + 10 * n + B
+                    fast = _bootstrap_outcome(y, est, B, stream)
+                    slow = _bootstrap_outcome(y, lambda s: est(s), B, stream)
+                    assert fast[1] == slow[1]
+                    if isinstance(slow[0], str):
+                        assert fast[0] == slow[0]
+                        continue
+                    results += 1
+                    for a, b in zip(fast[0], slow[0]):
+                        assert np.array_equal(a, b)
+    assert results >= 20
+
+
+def test_native_estimator_runs_once_per_bootstrap(monkeypatch):
+    calls = []
+    original = experiment.estimate_sigma
+
+    def counted(s, g):
+        calls.append(s.n)
+        return original(s, g)
+
+    monkeypatch.setattr(experiment, "estimate_sigma", counted)
+    g = make_generator("gamma")
+    y = draw(20, FamilyParams(2.0, 1.0), g, RngStream(5, 5))
+    for kind in ("closed", "ml"):
+        calls.clear()
+        res = bootstrap_bias_reduce(Sample(y), native_estimator(g, kind), 50, RngStream(5, 6))
+        assert res.n_used == 50
+        assert calls == [20]

@@ -222,6 +222,30 @@ def test_experiment_config_file_and_overrides(tmp_path, capsys):
     assert all(rec["N"] == "3" and rec["B"] == "2" for rec in recs)
 
 
+def test_experiment_estimator_flag_overrides_preset_and_config(tmp_path, capsys):
+    import csv
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "generator=gamma\ntheta=mu=2,sigma=1\nn=10\nN=2\nB=2\nseed=5\n",
+        encoding="utf-8",
+    )
+    runs = {
+        "preset": ["--smoke", "--seed", "5", "--N", "2", "--B", "2"],
+        "config": ["--config", str(cfg)],
+    }
+    for name, argv in runs.items():
+        for flag, labels in ((None, {"closed", "closed-raw"}),
+                             ("ml", {"ml", "ml-raw"}),
+                             ("both", {"closed", "closed-raw", "ml", "ml-raw"})):
+            out = str(tmp_path / f"{name}-{flag}.csv")
+            extra = [] if flag is None else ["--estimator", flag]
+            code, _, _ = run_cli(["experiment", *argv, *extra, "--out", out], capsys)
+            assert code == 0
+            with open(out, encoding="utf-8", newline="") as fh:
+                assert {rec["estimator"] for rec in csv.DictReader(fh)} == labels
+
+
 def test_experiment_malformed_config_number_is_data_error(tmp_path, capsys):
     good = {"n": "10", "N": "4", "B": "2", "seed": "5"}
     out = str(tmp_path / "m.csv")

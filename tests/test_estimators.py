@@ -113,7 +113,8 @@ def test_mu_ml_frozen_oracle():
 
 def test_mu_ml_constructed_fixed_points():
     h = np.array([EULER, math.log(2.0) - digamma(2.0)])
-    m, iters, resid, _ = _solve_mu_ml_array(h)
+    m, iters, resid, _, converged = _solve_mu_ml_array(h)
+    assert converged.all()
     assert abs(m[0] - 1.0) < 1e-8
     assert abs(m[1] - 2.0) < 1e-8
     assert np.all(np.abs(resid) <= 1e-10)

@@ -304,7 +304,10 @@ def test_rows_match_generic_pipeline_with_bootstrap():
         y = sample(14, FamilyParams(4.0, 2.0), g, RngStream(8080, rep))
         s = Sample(y)
         hat[rep] = est(s)
-        res = bootstrap_bias_reduce(s, est, 6, RngStream(8080, rep | _BOOT_BIT["closed"]))
+        # a plain wrapper has no resample_evaluator: one call per resample
+        res = bootstrap_bias_reduce(
+            s, lambda t: est(t), 6, RngStream(8080, rep | _BOOT_BIT["closed"])
+        )
         star[rep] = res.estimate
     truth = {"mu": 4.0, "sigma": 2.0}
     by_label = {(r.param_name, r.estimator): r for r in rows}
