@@ -231,24 +231,21 @@ def test_ml_cell_at_n3_keeps_estimates_bounded():
 
 
 def _bootstrap_outcome(y, est, B, stream):
-    """Everything a bootstrap call returns or raises, and the next draw."""
+    """Everything a bootstrap call returns, and the next draw of its stream."""
     rng = RngStream(77, stream)
-    try:
-        res = bootstrap_bias_reduce(Sample(y), est, B, rng)
-    except Exception as ex:  # noqa: BLE001 - both paths must raise alike
-        return type(ex).__name__, rng.integers(0, 2**62)
-    return (res.estimate, res.uncorrected, res.n_used, res.n_excluded), rng.integers(0, 2**62)
+    res = bootstrap_bias_reduce(Sample(y), est, B, rng)
+    return res.estimate, res.uncorrected, res.n_used, res.n_excluded, rng.integers(0, 2**62)
 
 
 def test_native_evaluator_matches_per_resample_calls():
     # the means-based evaluator that native_estimator attaches must give the
-    # bits of one estimator call per resample, redraws and exclusions included
+    # bits of one estimator call per resample; n = 3 draws all-equal
+    # resamples, which both paths must redraw alike
     cases = (
         ("gamma", FamilyParams(2.0, 1.5)),
         ("new-log-generalized-gamma(delta=1)", FamilyParams(1.5, 2.0)),
         ("dagum(c=2)", FamilyParams(3.0, 0.5)),
     )
-    results = 0
     for gi, (spec, params) in enumerate(cases):
         g = parse_generator_spec(spec)
         for n in (3, 20):
@@ -260,14 +257,8 @@ def test_native_evaluator_matches_per_resample_calls():
                     stream = 1000 * gi + 10 * n + B
                     fast = _bootstrap_outcome(y, est, B, stream)
                     slow = _bootstrap_outcome(y, lambda s: est(s), B, stream)
-                    assert fast[1] == slow[1]
-                    if isinstance(slow[0], str):
-                        assert fast[0] == slow[0]
-                        continue
-                    results += 1
-                    for a, b in zip(fast[0], slow[0]):
+                    for a, b in zip(fast, slow):
                         assert np.array_equal(a, b)
-    assert results >= 20
 
 
 def test_native_estimator_runs_once_per_bootstrap(monkeypatch):
