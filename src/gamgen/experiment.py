@@ -132,25 +132,34 @@ def _family_params_of(g: Generator, theta: dict):
     return float(mu), float(sigma), tuple(g.native.names)
 
 
-def _theta_from_means(M: np.ndarray, g: Generator, param_names, kind: str,
+# the pointwise rows (estimators._pointwise) that _theta_from_means reads for
+# each kind: closed reads T, ln y, w, a, r and ML reads T, ln T
+_KIND_ROWS = {"closed": (0, 2, 3, 4, 5), "ml": (0, 1)}
+
+
+def _theta_from_means(M, g: Generator, param_names, kind: str,
                       spread_ok: np.ndarray):
-    """Estimates from column means M (6, B): returns ((k, B) array, ok mask).
+    """Estimates from row means M: returns ((k, B) array, ok mask).
+
+    M[r] is the (B,) means of pointwise row r. M is either the full (6, B)
+    array or a dict that holds only the rows _KIND_ROWS[kind] names, so a
+    read of any other row raises instead of seeing a filler value.
 
     spread_ok marks resamples with at least two distinct observations; both
     kinds require it, mirroring the degeneracy guards of estimate_mu_closed
     and estimate_mu_ml so both code paths classify every resample alike.
     """
-    mean_t1, mean_lt1, mean_ly, mean_w, mean_a, mean_r = M
+    mean_t1 = M[0]
     with np.errstate(all="ignore"):
         base = spread_ok & np.isfinite(mean_t1) & (mean_t1 > 0.0)
         sigma = np.where(base, 1.0 / mean_t1, np.nan)
         if kind == "closed":
-            numer, denom = _mu_closed_from_means(mean_ly, mean_w, mean_t1, mean_a, mean_r)
+            numer, denom = _mu_closed_from_means(M[2], M[3], mean_t1, M[4], M[5])
             ok = base & np.isfinite(numer) & np.isfinite(denom) & (denom > 0.0)
             mu = np.where(ok, numer / denom, np.nan)
             ok = ok & np.isfinite(mu) & (mu > 0.0)
         else:
-            h = np.log(mean_t1) - mean_lt1
+            h = np.log(mean_t1) - M[1]
             ok = base & np.isfinite(h) & (h > 0.0)
             mu = np.full(h.shape, np.nan)
             root, _, _, _, converged = _solve_mu_ml_array(h[ok])
@@ -174,7 +183,10 @@ def native_estimator(g: Generator, kind: str, param_names=None):
     _resample_evaluator). bootstrap_bias_reduce uses it, so the estimator
     itself runs once, on the original sample; a plain wrapper around the
     callable has no such attribute and keeps one estimator call per resample.
+    kind is "closed" or "ml".
     """
+    if kind not in _KIND_ROWS:
+        raise DomainError("estimator kind must be closed or ml")
     if param_names is None:
         param_names = tuple(g.native.names) if g.native is not None else ("mu", "sigma")
 
@@ -207,10 +219,6 @@ def _spread_mask(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ptp(y[idx], axis=-1) != 0.0
 
 
-# the pointwise rows (estimators._pointwise) each kind's estimate reads
-_KIND_ROWS = {"closed": (0, 2, 3, 4, 5), "ml": (0, 1)}
-
-
 def _resample_evaluator(P, y, g, param_names, kind):
     """The evaluate of bootstrap._resample_estimates for one sample y with
     pointwise rows P: (m, n) index matrix -> ((k, m) estimates, ok (m,)).
@@ -218,13 +226,12 @@ def _resample_evaluator(P, y, g, param_names, kind):
     Each row the kind reads is gathered on its own: P[r] is a contiguous row,
     so P[r][idx] is a C-contiguous (m, n) block that _mean_last sums in
     place, in the same order as the row means of the resampled sample.
+    Rows the kind does not read are never gathered.
     """
     rows = _KIND_ROWS[kind]
 
     def evaluate(idx):
-        M = np.full((P.shape[0], idx.shape[0]), np.nan)
-        for r in rows:
-            M[r] = _mean_last(P[r][idx])
+        M = {r: _mean_last(P[r][idx]) for r in rows}
         return _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
 
     return evaluate

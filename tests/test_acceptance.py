@@ -146,7 +146,9 @@ def test_criterion_04_closed_form_below_twice_ml():
         if np.count_nonzero(feasible) != N:
             failures.append(f"{g!r}: {N - np.count_nonzero(feasible)} infeasible samples")
         mu_closed = numer[feasible] / denom[feasible]
-        mu_ml = _solve_mu_ml_array(h[feasible])[0]
+        mu_ml, _, _, _, converged = _solve_mu_ml_array(h[feasible])
+        if not converged.all():
+            failures.append(f"{g!r}: {np.count_nonzero(~converged)} ML solves did not converge")
         violations = int(np.count_nonzero(mu_closed >= 2.0 * mu_ml))
         if violations:
             failures.append(f"{g!r}: {violations} of {N} samples broke mu < 2 mu_ML")

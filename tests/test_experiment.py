@@ -193,6 +193,10 @@ def test_experiment_config_validation():
         small_config(n=())
     with pytest.raises(DomainError):
         small_config(n=(1,))
+    # native_estimator takes one kind; "both" is a study setting
+    for kind in ("both", "bogus"):
+        with pytest.raises(DomainError):
+            native_estimator(make_generator("gamma"), kind)
 
 
 def test_theta_grid_validated_before_running():
