@@ -19,6 +19,7 @@ from .errors import (
     MomentDoesNotExistError,
     NonpositiveObservationError,
     OverflowInValue,
+    positive_array,
 )
 from .generators import Generator, LogPower, PowerLaw, inverse_of
 from .special import (
@@ -72,15 +73,9 @@ class Sample:
     __slots__ = ("values", "_cache")
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
+        arr = positive_array(values, "sample values", NonpositiveObservationError).reshape(-1)
         if arr.size < 1:
             raise NonpositiveObservationError("sample must contain at least one value")
-        if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise NonpositiveObservationError(
-                "sample values must be finite and strictly positive"
-            )
         self.values = arr
         self._cache = {}
 
@@ -95,22 +90,13 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
-def _as_positive_array(y, what: str):
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError(f"{what} must be finite and > 0")
-    return arr, arr.ndim == 0
-
-
 def _power(y, p):
-    """y ** p, raising OverflowInValue where it leaves the float64 range."""
-    try:
-        with np.errstate(over="ignore"):
-            x = y**p
-    except OverflowError:  # y is a Python float
-        x = np.inf
-    if not np.isfinite(x).all():
-        raise OverflowInValue("Y^p overflowed float64 range")
+    """y ** p, raising OverflowInValue where it overflows or underflows to 0,
+    so that no generator kernel sees an argument outside (0, inf)."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(y) ** p
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise OverflowInValue("Y^p left the positive float64 range")
     return x
 
 
@@ -120,9 +106,9 @@ def _t1_and_log(g: Generator, x):
     A value that overflows, or whose log is not finite because the value
     underflowed to 0, raises OverflowInValue.
     """
-    t1 = g.value(x)
-    if g.log_value is not None:
-        log_t1 = g.log_value(x)
+    t1 = g.raw.value(x)
+    if g.raw.log_value is not None:
+        log_t1 = g.raw.log_value(x)
     else:
         with np.errstate(divide="ignore"):
             log_t1 = np.log(t1)
@@ -141,12 +127,12 @@ def log_pdf(y, params: FamilyParams, g: Generator):
     or ln|T'| leaves the float64 range it raises rather than returning nan
     or -inf.
     """
-    arr, scalar = _as_positive_array(y, "log_pdf argument")
+    arr = positive_array(y, "log_pdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    x = _power(arr, p)
+    x = _power(np.atleast_1d(arr), p)
     t1, log_t1 = _t1_and_log(g, x)
     with np.errstate(divide="ignore"):
-        log_d1 = np.log(np.abs(g.d1(x)))
+        log_d1 = np.log(np.abs(g.raw.d1(x)))
     if not np.isfinite(log_d1).all():
         raise OverflowInValue("log of the generator derivative left float64 range")
     out = (
@@ -159,7 +145,7 @@ def log_pdf(y, params: FamilyParams, g: Generator):
         - mu * sigma * t1
         + mu * log_t1
     )
-    return float(out) if scalar else out
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _tail(y, params: FamilyParams, g: Generator, upper: bool):
@@ -169,14 +155,14 @@ def _tail(y, params: FamilyParams, g: Generator, upper: bool):
     T(Y^p) >= T(y^p) for a decreasing one, so the answer is P or Q of the
     gamma law, each taken directly so that neither tail is formed as 1 - x.
     """
-    arr, scalar = _as_positive_array(y, "sf argument" if upper else "cdf argument")
+    arr = positive_array(y, "sf argument" if upper else "cdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    t1 = g.value(_power(arr, p))
+    t1 = g.raw.value(_power(np.atleast_1d(arr), p))
     if not np.isfinite(t1).all():
         raise OverflowInValue("generator value overflowed float64 range")
     on_q = upper != (g.monotonicity == "decreasing")
     out = (reg_upper_gamma if on_q else reg_lower_gamma)(mu, mu * sigma * t1)
-    return float(out) if scalar else np.asarray(out)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def cdf(y, params: FamilyParams, g: Generator):
@@ -333,8 +319,8 @@ def population_mu_limit(
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=draws)
     x = inverse_of(g, z)
     logx = np.log(x)
-    d1 = g.d1(x)
-    u_fn = (g.d2(x) / d1 - d1 / z) * x
+    d1 = g.raw.d1(x)
+    u_fn = (g.raw.d2(x) / d1 - d1 / z) * x
     g1 = 1.0 + (1.0 + u_fn) * logx
     g2 = (sigma - 1.0 / z) * d1 * x * logx
     num = float(np.mean(g1))

@@ -6,6 +6,8 @@ dispatch on failures without parsing prose.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "GamgenError",
     "DomainError",
@@ -92,3 +94,11 @@ class DataError(GamgenError, ValueError):
     """Input file unreadable or malformed."""
 
     name = "data-error"
+
+
+def positive_array(x, what: str, error: type = DomainError) -> np.ndarray:
+    """x as a float64 array; ``error`` unless every entry is finite and > 0."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
+        raise error(f"{what} must be finite and > 0")
+    return arr

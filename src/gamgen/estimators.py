@@ -23,7 +23,7 @@ from .errors import (
     NoRootInBracketError,
     OverflowInValue,
 )
-from .generators import Generator
+from .generators import Generator, inverse_of
 from .special import RngStream, _digamma, digamma, sample_gamma
 
 __all__ = [
@@ -90,13 +90,15 @@ def _pointwise(g: Generator, y: np.ndarray, p: float = 1.0) -> np.ndarray:
     """
     x = _power(y, p)
     t1, log_t1 = _t1_and_log(g, x)
-    d1 = g.d1(x)
-    d2 = g.d2(x)
+    d1 = g.raw.d1(x)
+    d2 = g.raw.d2(x)
     if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
         raise OverflowInValue("generator derivative overflowed float64 range")
     log_y = np.log(y)
     xl = x * log_y
-    return np.stack([t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl])
+    # T may underflow to 0 where ln T is finite; the finiteness checks catch the inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.stack([t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl])
 
 
 def _mean_last(x: np.ndarray):
@@ -199,15 +201,16 @@ def ml_equation_rhs(sample: Sample, g: Generator) -> float:
     return h
 
 
-def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
+def _solve_mu_ml_array(h: np.ndarray):
     """Vectorized root solve of ln(mu) - psi(mu) = h for h > 0.
 
     Start from mu0 = (3 + sqrt(9 + 12 h)) / (12 h), expand a geometric
     bracket until the residual changes sign, then Newton steps with the
     derivative taken by central finite difference, falling back to bisection
-    whenever a step leaves the bracket. The two sides of the difference go
-    through one digamma pass, and digamma is the unvalidated kernel, since
-    every argument here is finite and positive. All of it is elementwise, so
+    whenever a step leaves the bracket, until |residual| <= 1e-12 or 200
+    steps. The two sides of the difference go through one digamma pass, and
+    digamma is the unvalidated kernel, since every argument here is finite
+    and positive. All of it is elementwise, so
     an entry's root and iteration count do not depend on the other entries.
     An analytic trigamma derivative would take fewer digamma evaluations but
     move the Newton iterates, and with them the last bits of the root.
@@ -251,8 +254,8 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
     m = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
     fm = f(m)
     iters = np.zeros(h.shape, dtype=np.int64)
-    active = bracketed & (np.abs(fm) > tol)
-    for _ in range(max_iter):
+    active = bracketed & (np.abs(fm) > 1e-12)
+    for _ in range(200):
         if not active.any():
             break
         pos = active & (fm > 0.0)
@@ -273,7 +276,7 @@ def _solve_mu_ml_array(h: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
         m[active] = newton
         fm[active] = f_at(newton, active)
         iters[active] += 1
-        active = bracketed & (np.abs(fm) > tol)
+        active = bracketed & (np.abs(fm) > 1e-12)
         # ulp-limited plateau: stop when the bracket cannot shrink further
         stuck = active & ((hi - lo) <= np.spacing(lo) * 4.0)
         if stuck.any():
@@ -396,10 +399,7 @@ def fit_new_log_generalized_gamma(sample: Sample):
     Algebraically this is the generic closed form pushed through the native
     parameter map (alpha = mu, beta = 1/(mu sigma)).
     """
-    if sample.n < 2 or np.ptp(sample.values) == 0.0:
-        raise DegenerateSampleError(
-            "closed-form fit needs at least two distinct observations"
-        )
+    _require_spread(sample, "closed-form fit")
     y = sample.values
     with np.errstate(over="ignore"):
         t1 = np.expm1(y)
@@ -440,7 +440,7 @@ def estimating_equation_bias(
     if reps < 2 or n < 1:
         raise DomainError("need reps >= 2 and n >= 1")
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=reps * n).reshape(reps, n)
-    y = g.inverse(z)
+    y = inverse_of(g, z)
     _, log_t1 = _t1_and_log(g, y)
     rhs = -np.log(sigma) - np.mean(log_t1, axis=1)
     bias = float(np.mean(rhs)) - (np.log(mu) - digamma(mu))

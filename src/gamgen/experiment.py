@@ -216,7 +216,7 @@ def _spread_mask(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """True where a resample y[idx[b]] has two or more distinct values."""
     if idx.shape[-1] < 2:
         return np.zeros(idx.shape[:-1], dtype=bool)
-    return np.ptp(y[idx], axis=-1) != 0.0
+    return (y[idx] != y[idx[..., :1]]).any(axis=-1)
 
 
 def _resample_evaluator(P, y, g, param_names, kind):

@@ -7,17 +7,24 @@ classification (power-law / log-power / general), an optional power minorant
 T(x) >= C * x**s used by moment-existence rules, and the parameter map between
 the native textbook parameterization and the family's (mu, sigma).
 
-All callables accept scalars or ndarrays and evaluate elementwise.
+The builders pass bare kernels: float64 array in, array out, no check.
+Generator wraps them in one place. Each of ``value``, ``d1``, ``d2``,
+``inverse`` and ``log_value`` becomes its checked form, which takes scalars
+or arrays, raises DomainError unless every argument is finite and > 0, and
+returns a float for a scalar. ``g.raw`` keeps the kernels unchecked, with
+numpy's overflow, divide and invalid warnings off, for the internal paths
+that have checked their input at the public boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, OverflowInValue
+from .errors import ConvergenceError, DomainError, OverflowInValue, positive_array
 
 __all__ = [
     "PowerLaw",
@@ -82,31 +89,42 @@ class Generator:
     family_class: Union[PowerLaw, LogPower, None] = None
     minorant: Optional[tuple] = None  # (C, s) with value(x) >= C * x**s
     native: Optional[NativeParamMap] = None
+    raw: SimpleNamespace = field(init=False)
+
+    def __post_init__(self):
+        raw = {"log_value": None}
+        for name in ("value", "d1", "d2", "inverse", "log_value"):
+            fn = getattr(self, name)
+            if fn is not None:
+                # dataclasses.replace passes the checked fields it does not
+                # replace back in; wrapping their kernels keeps one check per call
+                what = "inverse argument" if name == "inverse" else "generator argument"
+                checked, raw[name] = _wrap(getattr(fn, "kernel", fn), what)
+                object.__setattr__(self, name, checked)
+        object.__setattr__(self, "raw", SimpleNamespace(**raw))
 
     def __repr__(self) -> str:  # pragma: no cover
         shapes = ", ".join(f"{k}={v:g}" for k, v in self.shape_params.items())
         return f"Generator({self.name}" + (f"; {shapes})" if shapes else ")")
 
 
-def _check_domain(x, what: str = "generator argument"):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError(f"{what} must be finite and > 0")
-    return arr
+def _wrap(kernel: Callable, what: str):
+    """The (checked, quiet) forms of a bare kernel."""
 
-
-def _guard(fn: Callable, what: str) -> Callable:
-    def wrapped(x):
-        arr = _check_domain(x, what)
-        scalar = arr.ndim == 0
+    def quiet(x):
         # overflow, a zero divisor or inf * 0 yields inf or nan, which the
         # callers' isfinite checks turn into OverflowInValue; numpy's own
         # warning would only duplicate it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = fn(np.atleast_1d(arr))
-        return float(out[0]) if scalar else np.asarray(out)
+            return kernel(x)
 
-    return wrapped
+    def checked(x):
+        arr = positive_array(x, what)
+        out = quiet(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
+
+    checked.kernel = kernel
+    return checked, quiet
 
 
 def inverse_of(g: Generator, z):
@@ -114,60 +132,55 @@ def inverse_of(g: Generator, z):
 
     Closed forms are used where the catalog provides them; otherwise a
     geometric-bisection search with Newton polishing solves value(x) = z.
-    A result beyond the float64 range raises OverflowInValue.
+    A result that overflows or underflows to 0 raises OverflowInValue.
     """
-    z = _check_domain(z, "inverse argument")
-    x = g.inverse(z)
-    if np.any(~np.isfinite(x)):
-        raise OverflowInValue("generator inverse overflowed float64 range")
-    return x
+    z = positive_array(z, "inverse argument")
+    x = g.raw.inverse(np.atleast_1d(z))
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise OverflowInValue("generator inverse left the positive float64 range")
+    return float(x[0]) if z.ndim == 0 else x
 
 
-def _numeric_inverse(value: Callable, d1: Callable, z):
-    """Solve value(x) = z elementwise for increasing ``value``."""
-    zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    lo = np.ones_like(zz)
-    hi = np.ones_like(zz)
-    with np.errstate(over="ignore", under="ignore"):
-        v = value(np.ones_like(zz))
-        grow = v < zz
-        for _ in range(600):
-            if not grow.any():
-                break
-            hi[grow] *= 4.0
-            grow = grow & (value(hi) < zz)
-        else:
-            raise ConvergenceError("numeric inverse failed to bracket above")
-        shrink = v >= zz
-        for _ in range(600):
-            if not shrink.any():
-                break
-            lo[shrink] *= 0.25
-            shrink = shrink & (value(lo) >= zz)
-        else:
-            raise ConvergenceError("numeric inverse failed to bracket below")
-        for _ in range(140):
-            mid = np.sqrt(lo * hi)
-            high = value(mid) >= zz
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        x = 0.5 * (lo + hi)
-        for _ in range(3):
-            step = (value(x) - zz) / d1(x)
-            x_new = x - step
-            x = np.where((x_new > lo) & (x_new < hi), x_new, x)
-    if np.asarray(z).ndim == 0:
-        return float(x[0])
+def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
+    """Solve value(x) = z elementwise for increasing ``value``. It runs as a
+    kernel, so numpy's overflow warnings are already off."""
+    lo = np.ones_like(z)
+    hi = np.ones_like(z)
+    v = value(np.ones_like(z))
+    grow = v < z
+    for _ in range(600):
+        if not grow.any():
+            break
+        hi[grow] *= 4.0
+        grow = grow & (value(hi) < z)
+    else:
+        raise ConvergenceError("numeric inverse failed to bracket above")
+    shrink = v >= z
+    for _ in range(600):
+        if not shrink.any():
+            break
+        lo[shrink] *= 0.25
+        shrink = shrink & (value(lo) >= z)
+    else:
+        raise ConvergenceError("numeric inverse failed to bracket below")
+    for _ in range(140):
+        mid = np.sqrt(lo * hi)
+        high = value(mid) >= z
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        step = (value(x) - z) / d1(x)
+        x_new = x - step
+        x = np.where((x_new > lo) & (x_new < hi), x_new, x)
     return x
 
 
 def _log_expm1(t):
     """ln(e^t - 1) for t > 0, stable from underflowing t up to t ~ 1e308."""
-    arr = np.asarray(t, dtype=np.float64)
-    small = np.log(np.expm1(np.minimum(arr, 1.0)))
-    large = arr + np.log1p(-np.exp(-np.maximum(arr, 1.0)))
-    out = np.where(arr <= 1.0, small, large)
-    return out if out.ndim else float(out)
+    small = np.log(np.expm1(np.minimum(t, 1.0)))
+    large = t + np.log1p(-np.exp(-np.maximum(t, 1.0)))
+    return np.where(t <= 1.0, small, large)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +197,11 @@ def _power_generator(name, expo, shape_params, native):
         name=name,
         monotonicity="increasing" if e > 0 else "decreasing",
         shape_params=shape_params,
-        value=_guard(lambda x: x**e, "generator argument"),
-        d1=_guard(lambda x: e * x ** (e - 1.0), "generator argument"),
-        d2=_guard(lambda x: e * (e - 1.0) * x ** (e - 2.0), "generator argument"),
-        inverse=_guard(lambda z: z ** (1.0 / e), "inverse argument"),
-        log_value=_guard(lambda x: e * np.log(x), "generator argument"),
+        value=lambda x: x**e,
+        d1=lambda x: e * x ** (e - 1.0),
+        d2=lambda x: e * (e - 1.0) * x ** (e - 2.0),
+        inverse=lambda z: z ** (1.0 / e),
+        log_value=lambda x: e * np.log(x),
         family_class=PowerLaw(C=1.0, s=-e),
         native=native,
     )
@@ -323,11 +336,11 @@ def _gompertz(delta=1.0):
         name="gompertz",
         monotonicity="increasing",
         shape_params={"delta": d},
-        value=_guard(lambda x: np.expm1(d * x), "generator argument"),
-        d1=_guard(lambda x: d * np.exp(d * x), "generator argument"),
-        d2=_guard(lambda x: d * d * np.exp(d * x), "generator argument"),
-        inverse=_guard(lambda z: np.log1p(z) / d, "inverse argument"),
-        log_value=_guard(lambda x: _log_expm1(d * x), "generator argument"),
+        value=lambda x: np.expm1(d * x),
+        d1=lambda x: d * np.exp(d * x),
+        d2=lambda x: d * d * np.exp(d * x),
+        inverse=lambda z: np.log1p(z) / d,
+        log_value=lambda x: _log_expm1(d * x),
         minorant=(d, 1.0),
         native=native,
     )
@@ -359,11 +372,11 @@ def _new_log_generalized_gamma(delta=1.0):
         name="new-log-generalized-gamma",
         monotonicity="increasing",
         shape_params={"delta": d},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
-        log_value=_guard(log_value, "generator argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
+        log_value=log_value,
         native=_generalized_native(d),
     )
 
@@ -407,10 +420,10 @@ def _burr_xii(c=1.0):
         name="burr-xii",
         monotonicity="increasing",
         shape_params={"c": cc},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
         family_class=LogPower(s=cc),
         native=native,
     )
@@ -453,10 +466,10 @@ def _dagum(c=1.0):
         name="dagum",
         monotonicity="decreasing",
         shape_params={"c": cc},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
         family_class=LogPower(s=-cc),
         native=native,
     )
@@ -491,11 +504,11 @@ def _flexible_weibull(b=1.0, c=1.0):
         name="flexible-weibull",
         monotonicity="increasing",
         shape_params={"b": bb, "c": cc},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
-        log_value=_guard(lambda x: bb * x - cc / x, "generator argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
+        log_value=lambda x: bb * x - cc / x,
         native=native,
     )
 
@@ -534,10 +547,10 @@ def _traditional_weibull(b=1.0, c=1.0, d=1.0):
         name="traditional-weibull",
         monotonicity="increasing",
         shape_params={"b": bb, "c": cc, "d": dd},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
         minorant=(cc, bb + dd),
         native=native,
     )
@@ -576,11 +589,11 @@ def _modified_weibull_extension(alpha=1.0, beta=1.0):
         name="modified-weibull-extension",
         monotonicity="increasing",
         shape_params={"alpha": aa, "beta": bb},
-        value=_guard(value, "generator argument"),
-        d1=_guard(d1, "generator argument"),
-        d2=_guard(d2, "generator argument"),
-        inverse=_guard(inverse, "inverse argument"),
-        log_value=_guard(log_value, "generator argument"),
+        value=value,
+        d1=d1,
+        d2=d2,
+        inverse=inverse,
+        log_value=log_value,
         minorant=(aa**-bb, bb),
         native=native,
     )

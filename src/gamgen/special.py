@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, OverflowInValue
+from .errors import ConvergenceError, DomainError, OverflowInValue, positive_array
 
 __all__ = [
     "RngStream",
@@ -83,14 +83,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _prepare(x, name: str):
-    """Validate a strictly positive argument, return (array, scalar_flag)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError(f"{name} requires finite arguments > 0")
-    return arr, arr.ndim == 0
-
-
 def log_gamma(x):
     """Natural log of the gamma function for x > 0.
 
@@ -98,7 +90,7 @@ def log_gamma(x):
     the Stirling series with seven Bernoulli terms evaluates the lifted value
     (truncation error < 1e-17 at the x=12 cutoff).
     """
-    arr, scalar = _prepare(x, "log_gamma")
+    arr = positive_array(x, "log_gamma argument")
     w = arr.copy()
     shift = np.zeros_like(w)
     for _ in range(12):
@@ -113,7 +105,7 @@ def log_gamma(x):
     for coef in _STIRLING[-2::-1]:
         series = coef + t * series
     out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def digamma(x):
@@ -123,10 +115,10 @@ def digamma(x):
     Bernoulli asymptotic series is applied (truncation error < 2e-13 at the
     cutoff, far below the lift's own rounding floor near x ~ 1e-6).
     """
-    arr, scalar = _prepare(x, "digamma")
+    arr = positive_array(x, "digamma argument")
     with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
         out = _digamma(arr)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _digamma(arr: np.ndarray) -> np.ndarray:
@@ -257,10 +249,8 @@ def _gamma_pq(a, x, lg_a):
 
 def _incomplete_gamma(a, x, name: str):
     """Validated (P, Q, scalar_flag) for the public incomplete gamma pair."""
-    a_arr = np.asarray(a, dtype=np.float64)
+    a_arr = positive_array(a, f"{name} shape a")
     x_arr = np.asarray(x, dtype=np.float64)
-    if a_arr.size and (not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0)):
-        raise DomainError(f"{name} requires a > 0")
     if x_arr.size and (not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0)):
         raise DomainError(f"{name} requires x >= 0")
     p, q = _gamma_pq(a_arr, x_arr, log_gamma(a_arr))

@@ -84,17 +84,21 @@ def test_fit_missing_file_is_data_error(tmp_path, capsys):
 
 
 def test_fit_overflow_reports_only_the_error_lines(tmp_path):
-    path = tmp_path / "d.txt"
-    path.write_text("800\n1\n2\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gamgen.cli", "fit", "--generator", "nlgg", str(path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 4
-    lines = proc.stderr.splitlines()
-    assert [line.partition("=")[0] for line in lines] == ["error", "message"]
-    assert kv_lines(proc.stderr)["error"] == "overflow"
+    # T overflows at 800 for nlgg; for weibull(delta=2) T underflows to 0 at
+    # 1e-200 while ln T stays finite
+    inputs = [("nlgg", "800\n1\n2\n"), ("weibull(delta=2)", "1e-200\n2e-200\n3e-200\n1.0\n")]
+    for spec, data in inputs:
+        path = tmp_path / "d.txt"
+        path.write_text(data, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gamgen.cli", "fit", "--generator", spec, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert [line.partition("=")[0] for line in lines] == ["error", "message"]
+        assert kv_lines(proc.stderr)["error"] == "overflow"
 
 
 def test_fit_unknown_generator_is_usage_error(data123, capsys):

@@ -177,16 +177,20 @@ def test_sampler_and_quantile_raise_on_inverse_overflow():
     g = make_generator("weibull", delta=0.01)  # inverse z ** 100
     with pytest.raises(OverflowInValue):
         sample(5, FamilyParams(2.0, 1e-6), g, RngStream(1, 0))
+    with pytest.raises(OverflowInValue):  # draws below ~1e-3.1 underflow to 0
+        sample(2000, FamilyParams(0.2, 1.0), g, RngStream(1, 0))
     with pytest.raises(OverflowInValue):
         quantile(0.5, FamilyParams(2.0, 1e-6), g)
 
 
 def test_power_overflow_is_named():
-    # y^p and x^(1/p) past the float64 range raise instead of warning
+    # y^p and x^(1/p) past the float64 range, on either side, raise instead of
+    # warning or handing 0 to the generator
     g = make_generator("gamma")
-    for fn in (cdf, sf, log_pdf):
-        with pytest.raises(OverflowInValue):
-            fn(1e200, FamilyParams(1.0, 1.0, 2.0), g)
+    for y in (1e200, 1e-200):
+        for fn in (cdf, sf, log_pdf):
+            with pytest.raises(OverflowInValue):
+                fn(y, FamilyParams(1.0, 1.0, 2.0), g)
     wide = FamilyParams(1.0, 1.0, 0.001)
     with pytest.raises(OverflowInValue):
         sample(5, FamilyParams(5.0, 0.2, 0.001), g, RngStream(1, 0))

@@ -1,5 +1,6 @@
 """Generator catalog: structural invariants across every row plus pinned values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,26 @@ import pytest
 
 from gamgen import (
     DomainError,
+    FamilyParams,
     LogPower,
     PowerLaw,
+    RngStream,
+    Sample,
     UnknownGeneratorError,
     catalog_names,
+    cdf,
+    distribution,
+    errors,
+    estimate_sigma,
+    generators,
     inverse_of,
+    log_pdf,
     make_generator,
     parse_generator_spec,
+    sample,
+    special,
 )
+from gamgen.estimators import _pointwise
 
 from conftest import CATALOG_SWEEP, sweep_ids
 
@@ -174,6 +187,71 @@ def test_domain_guard():
             g.value(bad)
     with pytest.raises(DomainError):
         g.d1(np.array([1.0, -2.0]))
+
+
+def _checked_sizes(monkeypatch):
+    """Sizes of the arrays the shared positive check sees, in call order."""
+    sizes = []
+    real = errors.positive_array
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    for module in (distribution, generators, special):
+        monkeypatch.setattr(module, "positive_array", counting)
+    return sizes
+
+
+def test_public_calls_check_their_argument_once(monkeypatch):
+    sizes = _checked_sizes(monkeypatch)
+    params = FamilyParams(2.0, 1.5)
+    y = np.linspace(0.5, 3.0, 50)
+    for name in ("new-log-generalized-gamma", "gamma", "burr-xii", "traditional-weibull"):
+        g = make_generator(name)
+        for fn in (log_pdf, cdf):
+            sizes.clear()
+            fn(y, params, g)
+            assert sizes.count(y.size) == 1, (name, fn.__name__)
+        sizes.clear()
+        sample(y.size, params, g, RngStream(5, 0))
+        assert sizes.count(y.size) == 1, name
+        fresh = Sample(y)
+        sizes.clear()
+        estimate_sigma(fresh, g)
+        assert sizes == [], name
+
+
+def test_replaced_generator_routes_internal_calls():
+    # the contract a tracer relies on: dataclasses.replace swaps the callables
+    # that log_pdf, _pointwise and sample evaluate, and the unreplaced fields
+    # keep a single check
+    g = make_generator("new-log-generalized-gamma")
+    calls = []
+
+    def spy(name):
+        fn = getattr(g, name)
+
+        def traced(x):
+            calls.append(name)
+            return fn(x)
+
+        return traced
+
+    h = dataclasses.replace(g, **{f: spy(f) for f in ("value", "d1", "d2", "log_value", "inverse")})
+    assert dataclasses.replace(g).d1.kernel is g.d1.kernel
+    params = FamilyParams(2.0, 1.5)
+    y = np.linspace(0.5, 3.0, 8)
+    np.testing.assert_array_equal(log_pdf(y, params, h), log_pdf(y, params, g))
+    assert sorted(calls) == ["d1", "log_value", "value"]
+    calls.clear()
+    np.testing.assert_array_equal(_pointwise(h, y), _pointwise(g, y))
+    assert sorted(calls) == ["d1", "d2", "log_value", "value"]
+    calls.clear()
+    np.testing.assert_array_equal(
+        sample(8, params, h, RngStream(2, 0)), sample(8, params, g, RngStream(2, 0))
+    )
+    assert calls == ["inverse"]
 
 
 def test_parse_generator_spec():
