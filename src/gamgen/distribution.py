@@ -148,20 +148,57 @@ def log_pdf(y, params: FamilyParams, g: Generator):
     return float(out[0]) if arr.ndim == 0 else out
 
 
+def _saturated(g: Generator, x, t, mu: float, sigma: float):
+    """True where the gamma tail beyond z = mu sigma T(x) provably rounds to
+    0, judged from ln T: taken from T = t where t is finite and from the
+    generator's log channel where t overflowed.
+
+    For z >= 2 max(mu, 1), Gamma(mu, z) <= 2 z^(mu-1) e^-z and
+    1/Gamma(mu) < 1.13, so Q(mu, z) < 2.26 e^-(z - max(mu - 1, 0) ln z),
+    which rounds to 0 (below half the smallest subnormal, e^-745.13) once
+    z - max(mu - 1, 0) ln z > 746.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_t = np.log(t)
+        over = ~np.isfinite(t)
+        if over.any() and g.raw.log_value is not None:
+            log_t[over] = g.raw.log_value(x[over])
+        log_z = np.log(mu * sigma) + log_t
+        z = np.exp(log_z)
+        return (
+            np.isfinite(log_t)
+            & (z >= 2.0 * max(mu, 1.0))
+            & (z - max(mu - 1.0, 0.0) * log_z > 746.0)
+        )
+
+
 def _tail(y, params: FamilyParams, g: Generator, upper: bool):
     """P(Y <= y), or P(Y > y) when ``upper``, from T(y^p) alone.
 
     Y <= y is T(Y^p) <= T(y^p) for an increasing generator and
     T(Y^p) >= T(y^p) for a decreasing one, so the answer is P or Q of the
     gamma law, each taken directly so that neither tail is formed as 1 - x.
+    Where T(y^p), or the gamma argument mu sigma T(y^p), overflows, the
+    answer is exactly 0 (Q) or 1 (P) if ln T shows the tail is below the
+    float64 range (_saturated); otherwise it raises OverflowInValue.
     """
     arr = positive_array(y, "sf argument" if upper else "cdf argument")
     mu, sigma, p = params.mu, params.sigma, params.power
-    t1 = g.raw.value(_power(np.atleast_1d(arr), p))
-    if not np.isfinite(t1).all():
-        raise OverflowInValue("generator value overflowed float64 range")
+    x = _power(np.atleast_1d(arr), p)
+    t1 = g.raw.value(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = mu * sigma * t1
     on_q = upper != (g.monotonicity == "decreasing")
-    out = (reg_upper_gamma if on_q else reg_lower_gamma)(mu, mu * sigma * t1)
+    tail = reg_upper_gamma if on_q else reg_lower_gamma
+    finite = np.isfinite(z)
+    if finite.all():
+        out = tail(mu, z)
+    else:
+        if not _saturated(g, x[~finite], t1[~finite], mu, sigma).all():
+            raise OverflowInValue("mu sigma T(y^p) overflowed float64 range")
+        out = np.full(z.shape, 0.0 if on_q else 1.0)
+        if finite.any():
+            out[finite] = tail(mu, z[finite])
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -189,7 +226,11 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     mu, sigma, p = params.mu, params.sigma, params.power
     on_q = upper != (g.monotonicity == "decreasing")
     z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)
-    x = inverse_of(g, z / (mu * sigma))
+    with np.errstate(over="ignore"):
+        t = z / (mu * sigma)
+    if not np.all((t > 0.0) & (t < np.inf)):
+        raise OverflowInValue("gamma root over mu sigma left the positive float64 range")
+    x = inverse_of(g, t)
     y = _power(x, 1.0 / p) if p != 1.0 else x
     return float(y) if scalar else np.asarray(y)
 

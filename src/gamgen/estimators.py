@@ -120,6 +120,15 @@ def _means(sample: Sample, g: Generator, p: float = 1.0) -> np.ndarray:
     return cached
 
 
+def _pointwise_rows(sample: Sample, g: Generator) -> np.ndarray:
+    """The pointwise rows of a sample at p = 1, leaving their means where
+    _means looks for them, so estimators run on the sample afterwards do not
+    compute the rows again. The rows themselves are not cached."""
+    P = _pointwise(g, sample.values)
+    sample._cache.setdefault((g, 1.0), _mean_last(P))
+    return P
+
+
 def _require_spread(sample: Sample, what: str) -> None:
     if sample.n < 2 or np.ptp(sample.values) == 0.0:
         raise DegenerateSampleError(f"{what} needs at least two distinct observations")

@@ -3,18 +3,26 @@
 Every replication owns the stream keyed by (cell index << 32) | replication,
 and each estimator kind's bootstrap resampling runs on a substream with a
 distinct high bit set, so results do not depend on execution order or worker
-count. Cells are independent tasks; a single reducer walks them in index
-order, which makes the CSV byte-stable.
+count. Cells are independent tasks, submitted largest n first; a single
+reducer walks them in index order, which makes the CSV byte-stable.
 
-The bootstrap is vectorized: the pointwise rows of estimators._pointwise are
-computed once per replication, and _resample_evaluator turns the index
-matrices of bootstrap._resample_estimates into estimates from row means. It
-gathers only the rows a kind reads (closed: T, ln y, w, a, r; ML: T, ln T),
-each as its own contiguous (m, n) block, so every mean is summed in the same
-order as on the resampled sample itself. bootstrap_bias_reduce runs the same
-loop with the same evaluator, which native_estimator attaches to its
-callable; tests pin both against one estimator call per resample, bit for
-bit.
+A cell runs each estimation stage once for all its replications. Each
+replication draws its sample on its own stream and computes its pointwise
+rows (estimators._pointwise) once; one that fails there fails alone. One
+_theta_from_means call per kind turns the row means of every surviving
+replication into raw estimates. bootstrap._resample_estimates then runs the
+bootstrap of every replication whose raw estimate succeeded, each on its own
+substream: it draws each replication's (B, n) index matrix in row blocks,
+and _resample_evaluator gathers only the rows a kind reads (closed: T, ln y,
+w, a, r; ML: T, ln T) through each block, each as its own contiguous block,
+so every mean is summed in the same order as on the resampled sample
+itself. One _theta_from_means call, and so one ML root solve, estimates all
+N B resamples of the cell, and each redraw round one more for the candidates
+of every replication. Every stage is elementwise or a _mean_last row
+reduction, so the bits are those of one replication at a time.
+bootstrap_bias_reduce runs the same loop with the same evaluator, which
+native_estimator attaches to its callable; tests pin both against one
+estimator call per resample, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .estimators import (
     _mean_last,
     _mu_closed_from_means,
     _pointwise,
+    _pointwise_rows,
     _solve_mu_ml_array,
     estimate_mu_closed,
     estimate_mu_ml,
@@ -180,10 +189,11 @@ def native_estimator(g: Generator, kind: str, param_names=None):
 
     The callable carries ``resample_evaluator``, which maps a Sample to the
     study engine's means-based evaluation of its resamples (see
-    _resample_evaluator). bootstrap_bias_reduce uses it, so the estimator
-    itself runs once, on the original sample; a plain wrapper around the
-    callable has no such attribute and keeps one estimator call per resample.
-    kind is "closed" or "ml".
+    _resample_evaluator). bootstrap_bias_reduce builds it first and then runs
+    the estimator once, on the original sample, which reads the row means the
+    evaluator left cached; a plain wrapper around the callable has no such
+    attribute and keeps one estimator call per resample. kind is "closed" or
+    "ml".
     """
     if kind not in _KIND_ROWS:
         raise DomainError("estimator kind must be closed or ml")
@@ -206,7 +216,7 @@ def native_estimator(g: Generator, kind: str, param_names=None):
         return theta
 
     def resample_evaluator(s: Sample):
-        return _resample_evaluator(_pointwise(g, s.values), s.values, g, param_names, kind)
+        return _resample_evaluator([_pointwise_rows(s, g)], [s.values], g, param_names, kind)
 
     estimate.resample_evaluator = resample_evaluator
     return estimate
@@ -220,31 +230,29 @@ def _spread_mask(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _resample_evaluator(P, y, g, param_names, kind):
-    """The evaluate of bootstrap._resample_estimates for one sample y with
-    pointwise rows P: (m, n) index matrix -> ((k, m) estimates, ok (m,)).
+    """The evaluate of bootstrap._resample_estimates for samples y[s] with
+    pointwise rows P[s]: (s, (m, n) index block) pairs -> ((k, M) estimates,
+    ok (M,)) for their M rows in order.
 
-    Each row the kind reads is gathered on its own: P[r] is a contiguous row,
-    so P[r][idx] is a C-contiguous (m, n) block that _mean_last sums in
-    place, in the same order as the row means of the resampled sample.
-    Rows the kind does not read are never gathered.
+    Each row the kind reads is gathered on its own: P[s][r] is a contiguous
+    row, so P[s][r][idx] is a C-contiguous block that _mean_last sums in
+    place, in the same order as the row means of the resampled sample. Rows
+    the kind does not read are never gathered. The means of every block go
+    to one _theta_from_means call.
     """
     rows = _KIND_ROWS[kind]
 
-    def evaluate(idx):
-        M = {r: _mean_last(P[r][idx]) for r in rows}
-        return _theta_from_means(M, g, param_names, kind, _spread_mask(y, idx))
+    def evaluate(blocks):
+        means = {r: [] for r in rows}
+        spread = []
+        for s, idx in blocks:
+            for r in rows:
+                means[r].append(_mean_last(P[s][r][idx]))
+            spread.append(_spread_mask(y[s], idx))
+        M = {r: np.concatenate(parts) for r, parts in means.items()}
+        return _theta_from_means(M, g, param_names, kind, np.concatenate(spread))
 
     return evaluate
-
-
-def _correct_kind(P, y, n, B, brng, g, param_names, kind, theta_hat):
-    """Bias-reduced vector for one estimator kind, or None if every resample
-    failed."""
-    evaluate = _resample_evaluator(P, y, g, param_names, kind)
-    theta, ok = _resample_estimates(n, B, brng, evaluate)
-    if not ok.any():
-        return None
-    return 2.0 * theta_hat - _mean_last(theta[:, ok])
 
 
 def _run_cell(payload):
@@ -258,29 +266,40 @@ def _run_cell(payload):
 
     corrected = {kd: np.full((N, k), np.nan) for kd in kinds}
     raw = {kd: np.full((N, k), np.nan) for kd in kinds}
+    reps, ys, Ps = [], [], []
     for rep in range(N):
-        base_id = (cell_idx << 32) | rep
-        rng = RngStream(seed, base_id)
         try:
-            y = sample(n, params, g, rng)
+            y = sample(n, params, g, RngStream(seed, (cell_idx << 32) | rep))
             P = _pointwise(g, y)
         except GamgenError:
             continue
-        m_full = _mean_last(P)[:, None]
-        spread_full = _spread_mask(y, np.arange(n)[None, :])
-        for kd in kinds:
-            th, ok = _theta_from_means(m_full, g, param_names, kd, spread_full)
-            if not ok[0]:
-                continue
-            theta_hat = th[:, 0]
-            raw[kd][rep] = theta_hat
-            if B == 0:
-                corrected[kd][rep] = theta_hat
-                continue
-            brng = RngStream(seed, base_id | _BOOT_BIT[kd])
-            star = _correct_kind(P, y, n, B, brng, g, param_names, kd, theta_hat)
-            if star is not None:
-                corrected[kd][rep] = star
+        reps.append(rep)
+        ys.append(y)
+        Ps.append(P)
+    if not reps:
+        return cell_idx, param_names, corrected, raw, time.perf_counter() - t0
+    M = np.stack([_mean_last(P) for P in Ps], axis=1)
+    whole = np.arange(n)[None, :]
+    spread = np.array([_spread_mask(y, whole)[0] for y in ys])
+    for kd in kinds:
+        theta_hat, ok = _theta_from_means(M, g, param_names, kd, spread)
+        live = np.nonzero(ok)[0]
+        raw[kd][np.asarray(reps)[live]] = theta_hat[:, live].T
+        if B == 0:
+            corrected[kd] = raw[kd].copy()
+            continue
+        if live.size == 0:
+            continue
+        brngs = [RngStream(seed, (cell_idx << 32) | reps[i] | _BOOT_BIT[kd]) for i in live]
+        evaluate = _resample_evaluator(
+            [Ps[i] for i in live], [ys[i] for i in live], g, param_names, kd
+        )
+        star, star_ok = _resample_estimates(n, B, brngs, evaluate)
+        for j, i in enumerate(live):
+            cols = slice(j * B, (j + 1) * B)
+            used = star_ok[cols]
+            if used.any():
+                corrected[kd][reps[i]] = 2.0 * theta_hat[:, i] - _mean_last(star[:, cols][:, used])
     elapsed = time.perf_counter() - t0
     return cell_idx, param_names, corrected, raw, elapsed
 
@@ -313,8 +332,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     if workers == 1 or len(payloads) == 1:
         results = [_run_cell(p) for p in payloads]
     else:
+        # largest n first, so the longest cells do not start last; the
+        # results are still read in index order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+            futures = {
+                ci: pool.submit(_run_cell, payloads[ci])
+                for ci in sorted(range(len(payloads)), key=lambda ci: -payloads[ci][3])
+            }
+            results = [futures[ci].result() for ci in range(len(payloads))]
 
     rows = []
     for (theta, n), (cell_idx, param_names, corrected, raw, elapsed) in zip(

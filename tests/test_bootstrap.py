@@ -18,7 +18,7 @@ from gamgen import (
     rmse,
     sample as draw,
 )
-from gamgen.bootstrap import MAX_REDRAWS, _resample_estimates
+from gamgen.bootstrap import MAX_REDRAWS, _BLOCK_VALUES, _draw_blocks, _resample_estimates
 from gamgen import experiment
 from gamgen.experiment import _BOOT_BIT, _run_cell
 
@@ -88,6 +88,79 @@ def test_resample_rounds_batch_the_redraws():
     redraws = rounds.rows - B
     assert redraws == sequential.rows - B > 10
     assert rounds.calls < redraws
+
+
+def _judge(s, idx):
+    """Estimates of sample s's rows that depend on nothing but the row: sample
+    0 keeps every row, 1 rejects all-equal rows, 2 rejects every row and 3
+    rejects rows that start with index 0."""
+    verdict = (
+        np.ones(idx.shape[0], dtype=bool),
+        np.ptp(idx, axis=1) != 0,
+        np.zeros(idx.shape[0], dtype=bool),
+        idx[:, 0] != 0,
+    )[s]
+    theta = np.vstack([idx.sum(axis=1) + 0.5 * s, idx[:, 0].astype(np.float64)])
+    return np.where(verdict, theta, np.nan), verdict
+
+
+def test_resample_rounds_match_one_row_redraws_per_stream():
+    # several samples, each on its own stream, resolved in shared rounds: each
+    # must get the estimates, mask and stream position of its own one-row
+    # redraw loop; n = 400 draws the initial matrices in several row blocks
+    for n, B in ((3, 30), (400, 90)):
+        calls = []
+
+        def evaluate(blocks):
+            parts = [_judge(s, idx) for s, idx in blocks]
+            calls.append(len(parts))
+            return (np.concatenate([t for t, _ in parts], axis=1),
+                    np.concatenate([ok for _, ok in parts]))
+
+        streams = [RngStream(5, 100 + s) for s in range(4)]
+        theta, ok = _resample_estimates(n, B, streams, evaluate)
+        assert theta.shape == (2, 4 * B) and ok.shape == (4 * B,)
+        redraws = 0
+        for s in range(4):
+            ref_rng = RngStream(5, 100 + s)
+            seen = []
+
+            def one_sample(idx, s=s):
+                seen.append(idx.shape[0])
+                return _judge(s, idx)
+
+            ref_theta, ref_ok = _sequential_resample(n, B, ref_rng, one_sample)
+            cols = slice(s * B, (s + 1) * B)
+            assert np.array_equal(theta[:, cols], ref_theta, equal_nan=True)
+            assert np.array_equal(ok[cols], ref_ok)
+            assert streams[s].integers(0, 2**62) == ref_rng.integers(0, 2**62)
+            redraws += sum(seen) - B
+        assert not ok[2 * B:3 * B].any() and ok[:B].all()
+        assert redraws >= B * MAX_REDRAWS
+        assert len(calls) - 1 < redraws
+
+
+def test_row_blocks_draw_the_values_of_one_matrix():
+    # the engine draws each (B, n) index matrix in row blocks; numpy must fill
+    # them with the values of one (B, n) call and leave the stream where that
+    # call leaves it, or every study CSV moves
+    splits = np.random.default_rng(0)
+    B = 37
+    for n in (*range(2, 70), 127, 128, 129, 255, 256, 400, 600, 1000, 4096, 20000):
+        whole = RngStream(3, n)
+        ref = whole.integers(0, n, size=(B, n))
+        after = whole.integers(0, n, size=n)
+        cuts = np.sort(splits.choice(np.arange(1, B), size=4, replace=False))
+        blocked = RngStream(3, n)
+        parts = [blocked.integers(0, n, size=(hi - lo, n))
+                 for lo, hi in zip((0, *cuts), (*cuts, B))]
+        assert np.array_equal(np.concatenate(parts), ref)
+        assert np.array_equal(blocked.integers(0, n, size=n), after)
+        engine = RngStream(3, n)
+        blocks = [idx for _, idx in _draw_blocks(n, B, [engine])]
+        assert np.array_equal(np.concatenate(blocks), ref)
+        assert all(b.size <= max(n, _BLOCK_VALUES) for b in blocks)
+        assert np.array_equal(engine.integers(0, n, size=n), after)
 
 
 def test_constant_estimator_is_fixed_point():

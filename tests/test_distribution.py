@@ -143,6 +143,40 @@ def test_tail_underflow_is_exact_or_named():
             quantile(1e-300, FamilyParams(0.05, 1.0), make_generator("gamma"))
 
 
+def test_saturated_tail_from_log_channel():
+    # T = expm1(800) overflows, but ln T = 800 shows Q(3, 3 T) is far below the
+    # float64 range: cdf and sf are exactly 1 and 0, and log_pdf still raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nlgg = make_generator("new-log-generalized-gamma", delta=1.0)
+        params = FamilyParams(3.0, 1.0)
+        assert cdf(800.0, params, nlgg) == 1.0
+        assert sf(800.0, params, nlgg) == 0.0
+        ys = np.array([1.5, 800.0])
+        assert np.array_equal(cdf(ys, params, nlgg), [cdf(1.5, params, nlgg), 1.0])
+        assert np.array_equal(sf(ys, params, nlgg), [sf(1.5, params, nlgg), 0.0])
+        with pytest.raises(OverflowInValue):
+            log_pdf(800.0, params, nlgg)
+        # mu sigma T = e^(711 - 713.8) is small, so the tail is not saturated
+        for fn in (cdf, sf):
+            with pytest.raises(OverflowInValue):
+                fn(711.0, FamilyParams(1.0, 1e-310), nlgg)
+        # T = 1e300 is finite but mu sigma T is not: saturated from ln T itself
+        gamma = make_generator("gamma")
+        assert cdf(1e300, FamilyParams(1e10, 1.0), gamma) == 1.0
+        assert sf(1e300, FamilyParams(1e10, 1.0), gamma) == 0.0
+
+
+def test_quantile_underflow_of_the_scaled_root_is_an_overflow_error():
+    # the gamma root over mu sigma = 1e300 underflows to 0: a range fault of
+    # valid inputs (exit 4), not a usage error
+    g = make_generator("gamma")
+    params = FamilyParams(1.0, 1e300)
+    with pytest.raises(OverflowInValue):
+        quantile(1e-300, params, g)
+    assert isf(1.0 - 1e-16, params, g) == 1.110223e-316
+
+
 @pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))
 def test_density_normalizes(name, shapes):
     g = make_generator(name, **shapes)

@@ -138,6 +138,67 @@ def test_smoke_grid_csv_bytes_are_pinned(tmp_path):
     assert digest == "85681d82502093e1e46377b61c894aa42d83c7b2"
 
 
+@pytest.mark.parametrize("generator,theta,digest", [
+    ("gamma", {"alpha": 2.0, "beta": 0.5}, "323ca729b5e1706d1d2cbf095741db1ff8e53767"),
+    ("dagum(c=2)", {"mu": 1.5, "sigma": 2.0}, "1401ac23011a6e099f6920e911feedf3c1a9ab20"),
+])
+def test_both_grid_csv_bytes_are_pinned(tmp_path, generator, theta, digest):
+    # both kinds from one cell's samples, down to n = 2, where half the
+    # resamples are all-equal and redrawn; estimating every replication of a
+    # cell together must not move a byte
+    cfg = ExperimentConfig(generator, (theta,), (2, 3, 5, 20), 20, 100, 23, "both")
+    path = tmp_path / "grid.csv"
+    write_csv(run_experiment(cfg), path)
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+
+
+def test_replication_failing_in_pointwise_fails_alone(monkeypatch):
+    # one replication's pointwise rows overflow: it fails for every row, and
+    # the others give the estimates of a per-replication reference
+    from gamgen import bootstrap_bias_reduce, experiment
+    from gamgen.errors import GamgenError, OverflowInValue
+    from gamgen.experiment import _BOOT_BIT
+
+    g = make_generator("gamma")
+    params, n, N, B, seed = FamilyParams(2.0, 1.0), 8, 5, 20, 606
+    bad = sample(n, params, g, RngStream(seed, 2))
+    pointwise = experiment._pointwise
+
+    def overflowing(g_, y, p=1.0):
+        if np.array_equal(y, bad):
+            raise OverflowInValue("generator value overflowed float64 range")
+        return pointwise(g_, y, p)
+
+    monkeypatch.setattr(experiment, "_pointwise", overflowing)
+    cfg = small_config(theta=({"mu": 2.0, "sigma": 1.0},), n=(n,), N=N, B=B, seed=seed)
+    rows = run_experiment(cfg)
+
+    estimates = {}
+    for kind in ("closed", "ml"):
+        est = native_estimator(g, kind, ("mu", "sigma"))
+        star = np.full((N, 2), np.nan)
+        hat = np.full((N, 2), np.nan)
+        for rep in range(N):
+            if rep == 2:
+                continue
+            s = Sample(sample(n, params, g, RngStream(seed, rep)))
+            try:
+                hat[rep] = est(s)
+                res = bootstrap_bias_reduce(
+                    s, lambda t: est(t), B, RngStream(seed, rep | _BOOT_BIT[kind])
+                )
+                star[rep] = res.estimate
+            except GamgenError:
+                continue
+        estimates[kind], estimates[kind + "-raw"] = star, hat
+    for r in rows:
+        col = estimates[r.estimator][:, ("mu", "sigma").index(r.param_name)]
+        good = col[np.isfinite(col)]
+        assert r.failures == N - good.size == 1
+        assert r.rb == relative_bias(good, r.theta_true)
+        assert r.rmse == rmse(good, r.theta_true)
+
+
 def test_workers_must_be_positive():
     with pytest.raises(DomainError):
         run_experiment(small_config(n=(8,), N=1, B=0), workers=0)
