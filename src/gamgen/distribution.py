@@ -47,6 +47,8 @@ __all__ = [
     "population_mu_limit",
 ]
 
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -246,12 +248,18 @@ def isf(q, params: FamilyParams, g: Generator):
 
 
 def sample(n: int, params: FamilyParams, g: Generator, rng: RngStream) -> np.ndarray:
-    """Draw n observations via the stochastic representation."""
+    """Draw n observations via the stochastic representation.
+
+    A gamma draw that underflows to 0, which ``sample_gamma`` floors at the
+    smallest subnormal, raises OverflowInValue.
+    """
     n = int(n)
     if n < 1:
         raise DomainError("sample size must be at least 1")
     mu, sigma, p = params.mu, params.sigma, params.power
     z = sample_gamma(mu, 1.0 / (mu * sigma), rng, size=n)
+    if z.min() <= _SMALLEST_SUBNORMAL:
+        raise OverflowInValue("a gamma draw underflowed to 0")
     x = inverse_of(g, z)
     return _power(x, 1.0 / p) if p != 1.0 else x
 

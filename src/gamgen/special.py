@@ -138,50 +138,70 @@ def _digamma(arr: np.ndarray) -> np.ndarray:
     return np.log(w) - 0.5 / w - t * series - shift
 
 
+_SERIES_MAX = 10000  # terms of either incomplete-gamma expansion
+
+
 def _lower_series(a, x, log_prefactor):
-    """P(a,x) for x < a+1 by the regularized power series."""
+    """P(a,x) for 0 < x < a+1 by the regularized power series.
+
+    Every entry takes every term, in place, and the stop test runs once every
+    8 terms, after terms 7, 15, ..., 9999: all entries are done once each
+    |term| < 1e-17 |total|. That leaves each total with the bits it has when
+    its own test first passes: x < a+1 <= ap, so later terms only shrink, and
+    a term below 1e-17 |total| is below half an ulp of it, so adding it
+    rounds back to the same total. An entry that needs 10 000 terms or more
+    raises ConvergenceError.
+    """
     total = np.full_like(x, 1.0) / a
     term = total.copy()
-    ap = a.copy()
-    active = x > 0.0
-    for _ in range(10000):
-        if not active.any():
+    ap = a.astype(np.float64)
+    for n in range(_SERIES_MAX):
+        if n % 8 == 7 and not (np.abs(term) >= np.abs(total) * 1e-17).any():
             break
-        ap = np.where(active, ap + 1.0, ap)
-        term = np.where(active, term * x / ap, term)
-        total = np.where(active, total + term, total)
-        active = active & (np.abs(term) >= np.abs(total) * 1e-17)
+        ap += 1.0
+        term *= x
+        term /= ap
+        total += term
     else:
         raise ConvergenceError("incomplete gamma series did not converge")
     return total * np.exp(log_prefactor)
 
 
 def _upper_cf(a, x, log_prefactor):
-    """Q(a,x) for x >= a+1 by the modified Lentz continued fraction."""
+    """Q(a,x) for x >= a+1 by the modified Lentz continued fraction.
+
+    Only the unfinished entries are carried, gathered by index: an entry
+    stops after the step whose factor delta is within 1e-16 of 1 (or is
+    nan), and its h is written back then. Each entry's arithmetic is that of
+    the whole-array recurrence, so every h keeps its bits. An entry that
+    needs 9 999 steps or more raises ConvergenceError.
+    """
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for i in range(1, 10000):
-        if not active.any():
+    h = d
+    out = np.empty_like(h)
+    idx = np.arange(x.size)
+    for i in range(1, _SERIES_MAX):
+        if idx.size == 0:
             break
         an = -i * (i - a)
         b = b + 2.0
-        d_new = an * d + b
-        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
-        c_new = b + an / c
-        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
-        d_new = 1.0 / d_new
-        delta = d_new * c_new
-        h = np.where(active, h * delta, h)
-        d = np.where(active, d_new, d)
-        c = np.where(active, c_new, c)
-        active = active & (np.abs(delta - 1.0) >= 1e-16)
+        d = an * d + b
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        going = np.abs(delta - 1.0) >= 1e-16
+        if not going.all():
+            out[idx[~going]] = h[~going]
+            idx, a, b, c, d, h = (v[going] for v in (idx, a, b, c, d, h))
     else:
         raise ConvergenceError("incomplete gamma continued fraction did not converge")
-    return np.exp(log_prefactor) * h
+    return np.exp(log_prefactor) * out
 
 
 # zeta(2), ..., zeta(20): ln Gamma(1 + a) = -gamma a + sum_k (-a)^k zeta(k) / k.

@@ -153,6 +153,13 @@ def test_sample_stdout_matches_file(tmp_path, capsys):
     assert out == open(path, encoding="utf-8").read()
 
 
+def test_sample_underflow_exits_four(capsys):
+    code, out, err = run_cli(["sample", "--generator", "gamma", "--mu", "1e-300",
+                              "--sigma", "1", "--n", "5", "--seed", "1"], capsys)
+    assert (code, out) == (4, "")
+    assert kv_lines(err)["error"] == "overflow"
+
+
 def test_sample_then_fit_recovers_parameters(tmp_path, capsys):
     path = str(tmp_path / "y.txt")
     code, _, _ = run_cli(

@@ -27,6 +27,7 @@ from gamgen import (
     population_mu_limit,
     quantile,
     sample,
+    sample_gamma,
     sf,
 )
 
@@ -215,6 +216,18 @@ def test_sampler_and_quantile_raise_on_inverse_overflow():
         sample(2000, FamilyParams(0.2, 1.0), g, RngStream(1, 0))
     with pytest.raises(OverflowInValue):
         quantile(0.5, FamilyParams(2.0, 1e-6), g)
+
+
+def test_sample_draw_underflow_is_an_overflow_error():
+    # sample_gamma floors a draw that underflows to 0 at the smallest
+    # subnormal; sample reports it instead of passing it on as data
+    g = make_generator("gamma")
+    floored = sample_gamma(0.001, 1000.0, RngStream(1, 0), size=2000)
+    assert np.any(floored == 5e-324)
+    with pytest.raises(OverflowInValue):
+        sample(2000, FamilyParams(0.001, 1.0), g, RngStream(1, 0))
+    with pytest.raises(OverflowInValue):
+        sample(5, FamilyParams(1e-300, 1.0), g, RngStream(1, 0))
 
 
 def test_power_overflow_is_named():

@@ -222,6 +222,47 @@ def test_public_calls_check_their_argument_once(monkeypatch):
         assert sizes == [], name
 
 
+def _bisect_140_numeric_inverse(value, d1, z):
+    # generators._numeric_inverse with all 140 bisection steps, no early stop
+    lo = np.ones_like(z)
+    hi = np.ones_like(z)
+    v = value(np.ones_like(z))
+    grow = v < z
+    for _ in range(600):
+        if not grow.any():
+            break
+        hi[grow] *= 4.0
+        grow = grow & (value(hi) < z)
+    shrink = v >= z
+    for _ in range(600):
+        if not shrink.any():
+            break
+        lo[shrink] *= 0.25
+        shrink = shrink & (value(lo) >= z)
+    for _ in range(140):
+        mid = np.sqrt(lo * hi)
+        high = value(mid) >= z
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        step = (value(x) - z) / d1(x)
+        x_new = x - step
+        x = np.where((x_new > lo) & (x_new < hi), x_new, x)
+    return x
+
+
+@pytest.mark.parametrize("b,c,d", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5), (3.0, 0.2, 4.0),
+                                   (1.0, 5.0, 0.1)])
+def test_numeric_inverse_stops_at_its_fixed_point(monkeypatch, b, c, d):
+    # stopping once no bracket end moves gives the bits of all 140 steps
+    g = make_generator("traditional-weibull", b=b, c=c, d=d)
+    z = np.geomspace(1e-300, 1e300, 6001)
+    got = g.raw.inverse(z)
+    monkeypatch.setattr(generators, "_numeric_inverse", _bisect_140_numeric_inverse)
+    assert np.array_equal(got, g.raw.inverse(z))
+
+
 def test_replaced_generator_routes_internal_calls():
     # the contract a tracer relies on: dataclasses.replace swaps the callables
     # that log_pdf, _pointwise and sample evaluate, and the unreplaced fields

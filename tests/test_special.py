@@ -9,6 +9,7 @@ import scipy.special as sps
 import scipy.stats
 
 from gamgen import (
+    ConvergenceError,
     DomainError,
     OverflowInValue,
     RngStream,
@@ -19,6 +20,7 @@ from gamgen import (
     reg_lower_gamma,
     reg_upper_gamma,
     sample_gamma,
+    special,
 )
 
 LOG_GRID = np.geomspace(1e-6, 1e6, 61)
@@ -215,6 +217,96 @@ def test_reg_upper_gamma_is_complement_from_shape_one_tenth():
     for a in (0.1, 0.5, 3.0):
         xs = np.linspace(0.01, a + 1.0, 25, endpoint=False)
         assert np.array_equal(reg_upper_gamma(a, xs), 1.0 - reg_lower_gamma(a, xs))
+
+
+def test_incomplete_gamma_matches_scipy_over_a_log_uniform_sweep():
+    rng = np.random.default_rng(20260919)
+    a = np.exp(rng.uniform(np.log(0.05), np.log(300.0), 20_000))
+    x = a * np.exp(rng.uniform(-6.0, 2.0, a.size))
+    for ours, ref in ((reg_lower_gamma(a, x), sps.gammainc(a, x)),
+                      (reg_upper_gamma(a, x), sps.gammaincc(a, x))):
+        kept = ref > 1e-300
+        assert kept.sum() > 19_000
+        rel = np.abs(ours[kept] - ref[kept]) / ref[kept]
+        assert rel.max() <= 1e-12, (a[kept][rel.argmax()], x[kept][rel.argmax()])
+
+
+def _masked_lower_series(a, x, log_prefactor):
+    # the whole-array form of special._lower_series, one mask per step
+    total = np.full_like(x, 1.0) / a
+    term = total.copy()
+    ap = a.copy()
+    active = x > 0.0
+    for _ in range(10000):
+        if not active.any():
+            break
+        ap = np.where(active, ap + 1.0, ap)
+        term = np.where(active, term * x / ap, term)
+        total = np.where(active, total + term, total)
+        active = active & (np.abs(term) >= np.abs(total) * 1e-17)
+    else:
+        raise ConvergenceError("incomplete gamma series did not converge")
+    return total * np.exp(log_prefactor)
+
+
+def _masked_upper_cf(a, x, log_prefactor):
+    # the whole-array form of special._upper_cf, one mask per step
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / tiny)
+    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
+    h = d.copy()
+    active = np.ones(x.shape, dtype=bool)
+    for i in range(1, 10000):
+        if not active.any():
+            break
+        an = -i * (i - a)
+        b = b + 2.0
+        d_new = an * d + b
+        d_new = np.where(np.abs(d_new) < tiny, tiny, d_new)
+        c_new = b + an / c
+        c_new = np.where(np.abs(c_new) < tiny, tiny, c_new)
+        d_new = 1.0 / d_new
+        delta = d_new * c_new
+        h = np.where(active, h * delta, h)
+        d = np.where(active, d_new, d)
+        c = np.where(active, c_new, c)
+        active = active & (np.abs(delta - 1.0) >= 1e-16)
+    else:
+        raise ConvergenceError("incomplete gamma continued fraction did not converge")
+    return np.exp(log_prefactor) * h
+
+
+def _kernel_args(a, x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.full_like(x, a), x, a * np.log(x) - x - log_gamma(a)
+
+
+@pytest.mark.parametrize("a", (1e-3, 0.05, 0.09, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e4, 1e5))
+def test_incomplete_gamma_kernels_keep_the_masked_bits(a):
+    # each kernel stops at its fixed point and gives the bits of the masked form
+    edge = a + 1.0
+    below = np.concatenate([[1e-300, np.nextafter(edge, 0.0)],
+                            edge * np.geomspace(1e-8, 1.0, 200, endpoint=False)])
+    above = np.concatenate([[edge], edge * np.geomspace(1.0, 1e3, 200)[1:]])
+    assert np.all(below < edge) and np.all(above >= edge)
+    args = _kernel_args(a, below)
+    assert np.array_equal(special._lower_series(*args), _masked_lower_series(*args))
+    args = _kernel_args(a, above)
+    assert np.array_equal(special._upper_cf(*args), _masked_upper_cf(*args))
+
+
+def test_incomplete_gamma_series_keeps_its_term_cap():
+    with pytest.raises(ConvergenceError):
+        reg_lower_gamma(1e7, 1e7)
+    # at x = a the series needs 9999 terms, one ulp below a + 1 it needs 10 000
+    a = 1569350.0
+    args = _kernel_args(a, [a])
+    assert np.array_equal(special._lower_series(*args), _masked_lower_series(*args))
+    args = _kernel_args(a, [np.nextafter(a + 1.0, 0.0)])
+    for kernel in (special._lower_series, _masked_lower_series):
+        with pytest.raises(ConvergenceError):
+            kernel(*args)
 
 
 def test_inv_reg_lower_gamma_domain():
