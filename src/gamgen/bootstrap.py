@@ -58,34 +58,28 @@ def _draw_blocks(n: int, B: int, rngs):
             yield s, rng.integers(0, n, size=(min(rows, B - start), n))
 
 
-def _resample_estimates(n: int, B: int, rng, evaluate: Callable):
+def _resample_estimates(n: int, B: int, rngs, evaluate: Callable):
     """Estimates on B resamples of n indices for each of S samples:
     ((k, S B) array, ok mask (S B,)); sample s owns columns s B to s B + B - 1.
 
-    rng is a sequence of S RngStreams, one per sample, and evaluate maps an
+    rngs is a sequence of S RngStreams, one per sample, and evaluate maps an
     iterable of (s, idx) pairs, each an (m, n) index block of sample s, to
-    ((k, M) estimates, ok (M,)) for their M rows in order. A lone RngStream
-    is the one-sample case, whose evaluate takes the (m, n) index matrix
-    itself. Either way evaluate works row by row, so a row's result does not
-    depend on the rows evaluated with it. Failed rows are redrawn in rounds
-    of one candidate per unresolved row of every sample, drawn one row at a
-    time from the sample's stream and assigned in ascending row order, which
-    takes the same draws and gives the same result as redrawing each row on
-    its own. Rows that still fail after MAX_REDRAWS redraws stay False in the
-    mask.
+    ((k, M) estimates, ok (M,)) for their M rows in order. evaluate works
+    row by row, so a row's result does not depend on the rows evaluated
+    with it. Failed rows are redrawn in rounds of one candidate per
+    unresolved row of every sample, drawn one row at a time from the
+    sample's stream and assigned in ascending row order, which takes the
+    same draws and gives the same result as redrawing each row on its own.
+    Rows that still fail after MAX_REDRAWS redraws stay False in the mask.
     """
-    if isinstance(rng, RngStream):
-        return _resample_estimates(
-            n, B, (rng,), lambda blocks: evaluate(np.concatenate([idx for _, idx in blocks]))
-        )
-    theta, ok = evaluate(_draw_blocks(n, B, rng))
-    pending = [np.nonzero(~ok[s * B:(s + 1) * B])[0] + s * B for s in range(len(rng))]
-    done = [0] * len(rng)
-    tries = [0] * len(rng)
+    theta, ok = evaluate(_draw_blocks(n, B, rngs))
+    pending = [np.nonzero(~ok[s * B:(s + 1) * B])[0] + s * B for s in range(len(rngs))]
+    done = [0] * len(rngs)
+    tries = [0] * len(rngs)
     while True:
         # scalar sizes: perfbench/layertrace.py counts redraws by them
         draws = [
-            (s, np.stack([rng[s].integers(0, n, size=n) for _ in range(rows.size - done[s])]))
+            (s, np.stack([rngs[s].integers(0, n, size=n) for _ in range(rows.size - done[s])]))
             for s, rows in enumerate(pending)
             if done[s] < rows.size
         ]
@@ -107,10 +101,11 @@ def _resample_estimates(n: int, B: int, rng, evaluate: Callable):
 
 
 def _per_resample(estimator: Callable, values: np.ndarray, k: int) -> Callable:
-    """An evaluate that calls the estimator on each resample; a library error
-    marks the row failed."""
+    """An evaluate that calls the estimator on each resample of one sample's
+    (s, idx) blocks; a library error marks the row failed."""
 
-    def evaluate(idx):
+    def evaluate(blocks):
+        idx = np.concatenate([block for _, block in blocks])
         # (k, m) orientation so the replicate mean reduces over the last
         # axis, matching the vectorized experiment engine bit for bit
         rows = np.full((k, idx.shape[0]), np.nan)
@@ -161,11 +156,9 @@ def bootstrap_bias_reduce(
     # where the estimator reads them
     evaluate = build(sample) if build is not None else None
     theta_hat = np.atleast_1d(np.asarray(estimator(sample), dtype=np.float64))
-    if evaluate is not None:
-        rows, ok = _resample_estimates(sample.n, B, (rng,), evaluate)
-    else:
+    if evaluate is None:
         evaluate = _per_resample(estimator, sample.values, theta_hat.size)
-        rows, ok = _resample_estimates(sample.n, B, rng, evaluate)
+    rows, ok = _resample_estimates(sample.n, B, (rng,), evaluate)
     n_used = int(np.count_nonzero(ok))
     if n_used == 0:
         raise BootstrapDegenerateError("every bootstrap replicate failed")

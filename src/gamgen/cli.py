@@ -46,8 +46,6 @@ __all__ = ["main"]
 _USAGE_ERRORS = (DomainError,)
 _DATA_ERRORS = (DataError, NonpositiveObservationError)
 
-_NATIVE_FLAGS = ("alpha", "beta", "mu", "sigma")
-
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -276,8 +274,16 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as DomainError, so main reports it like every
+    other failure; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gamgen",
         description="Estimators, samplers, and Monte Carlo studies for the "
         "generator-indexed gamma-type family.",
@@ -335,9 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as ex:
+    except DomainError as ex:
+        return _fail(ex, "--json" in argv)
+    except SystemExit as ex:  # --help
         return int(ex.code or 0)
     return args.fn(args)
 

@@ -141,6 +141,9 @@ def inverse_of(g: Generator, z):
     return float(x[0]) if z.ndim == 0 else x
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
+
 def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
     """Solve value(x) = z elementwise for increasing ``value``. It runs as a
     kernel, so numpy's overflow warnings are already off.
@@ -152,6 +155,12 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
     polishing steps from their midpoint, have the bits of all 140 steps.
     With value(hi) >= z > value(lo), that happens once every midpoint
     sqrt(lo*hi) rounds to one of its ends, in 55-60 steps.
+
+    lo*hi stays normal while both ends lie in [2^-511, 2^511], and the
+    bracket only shrinks. An entry with an end outside that range takes
+    sqrt(lo)*sqrt(hi) at the steps where lo*hi is not normal, so roots
+    from the subnormals up to the largest float are found. Where lo
+    underflowed to 0 the root is below every float, and the result is 0.
     """
     lo = np.ones_like(z)
     hi = np.ones_like(z)
@@ -172,8 +181,13 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
         shrink = shrink & (value(lo) >= z)
     else:
         raise ConvergenceError("numeric inverse failed to bracket below")
+    far = np.nonzero((lo < 2.0**-511) | (hi > 2.0**511))[0]
     for _ in range(140):
         mid = np.sqrt(lo * hi)
+        if far.size:
+            p = lo[far] * hi[far]
+            off = far[~((p >= _TINY) & (p < np.inf))]
+            mid[off] = np.sqrt(lo[off]) * np.sqrt(hi[off])
         high = value(mid) >= z
         if not np.where(high, mid != hi, mid != lo).any():
             break
@@ -184,6 +198,7 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
         step = (value(x) - z) / d1(x)
         x_new = x - step
         x = np.where((x_new > lo) & (x_new < hi), x_new, x)
+    x[far[lo[far] == 0.0]] = 0.0
     return x
 
 
@@ -202,8 +217,6 @@ def _log_expm1(t):
 def _power_generator(name, expo, shape_params, native):
     """Rows with T(x) = x**expo (expo > 0 increasing, expo < 0 decreasing)."""
     e = float(expo)
-    if e == 0.0 or not np.isfinite(e):
-        raise DomainError("power exponent must be nonzero and finite")
     return Generator(
         name=name,
         monotonicity="increasing" if e > 0 else "decreasing",
@@ -219,12 +232,7 @@ def _power_generator(name, expo, shape_params, native):
 
 
 def _gamma():
-    native = NativeParamMap(
-        names=("alpha", "beta"),
-        to_family=lambda alpha, beta: (alpha, 1.0 / (alpha * beta)),
-        from_family=lambda mu, sigma: {"alpha": mu, "beta": 1.0 / (mu * sigma)},
-    )
-    return _power_generator("gamma", 1.0, {}, native)
+    return _power_generator("gamma", 1.0, {}, _generalized_native(1.0))
 
 
 def _chi_squared():
@@ -273,12 +281,7 @@ def _rayleigh():
 
 
 def _inverse_gamma():
-    native = NativeParamMap(
-        names=("alpha", "beta"),
-        to_family=lambda alpha, beta: (alpha, 1.0 / (alpha * beta)),
-        from_family=lambda mu, sigma: {"alpha": mu, "beta": 1.0 / (mu * sigma)},
-    )
-    return _power_generator("inverse-gamma", -1.0, {}, native)
+    return _power_generator("inverse-gamma", -1.0, {}, _generalized_native(1.0))
 
 
 def _delta_gamma(delta=1.0):
@@ -291,27 +294,26 @@ def _delta_gamma(delta=1.0):
     return _power_generator("delta-gamma", d, {"delta": d}, native)
 
 
-def _weibull(delta=1.0):
-    d = float(delta)
-    native = NativeParamMap(
+def _weibull_native(d: float) -> NativeParamMap:
+    return NativeParamMap(
         names=("beta",),
         to_family=lambda beta: (1.0, beta**-d),
         from_family=lambda mu, sigma: {"beta": sigma ** (-1.0 / d)},
     )
-    return _power_generator("weibull", d, {"delta": d}, native)
+
+
+def _weibull(delta=1.0):
+    d = float(delta)
+    return _power_generator("weibull", d, {"delta": d}, _weibull_native(d))
 
 
 def _inverse_weibull(delta=1.0):
     d = float(delta)
-    native = NativeParamMap(
-        names=("beta",),
-        to_family=lambda beta: (1.0, beta**-d),
-        from_family=lambda mu, sigma: {"beta": sigma ** (-1.0 / d)},
-    )
-    return _power_generator("inverse-weibull", -d, {"delta": d}, native)
+    return _power_generator("inverse-weibull", -d, {"delta": d}, _weibull_native(d))
 
 
 def _generalized_native(d: float) -> NativeParamMap:
+    # d = 1 serves gamma and inverse-gamma: x / 1.0, x ** 1.0 and 1.0 * x are exact
     return NativeParamMap(
         names=("alpha", "beta"),
         to_family=lambda alpha, beta: (alpha / d, d / (alpha * beta**d)),
@@ -319,6 +321,15 @@ def _generalized_native(d: float) -> NativeParamMap:
             "alpha": d * mu,
             "beta": (1.0 / (mu * sigma)) ** (1.0 / d),
         },
+    )
+
+
+def _rate_native(name: str) -> NativeParamMap:
+    """Rows with mu = 1 whose one native parameter is the rate sigma."""
+    return NativeParamMap(
+        names=(name,),
+        to_family=lambda **native: (1.0, native[name]),
+        from_family=lambda mu, sigma: {name: sigma},
     )
 
 
@@ -336,13 +347,6 @@ def _generalized_inverse_gamma(delta=1.0):
 
 def _gompertz(delta=1.0):
     d = float(delta)
-    if not (np.isfinite(d) and d > 0):
-        raise DomainError("gompertz requires delta > 0")
-    native = NativeParamMap(
-        names=("alpha",),
-        to_family=lambda alpha: (1.0, alpha),
-        from_family=lambda mu, sigma: {"alpha": sigma},
-    )
     return Generator(
         name="gompertz",
         monotonicity="increasing",
@@ -353,14 +357,12 @@ def _gompertz(delta=1.0):
         inverse=lambda z: np.log1p(z) / d,
         log_value=lambda x: _log_expm1(d * x),
         minorant=(d, 1.0),
-        native=native,
+        native=_rate_native("alpha"),
     )
 
 
 def _new_log_generalized_gamma(delta=1.0):
     d = float(delta)
-    if not (np.isfinite(d) and d > 0):
-        raise DomainError("new-log-generalized-gamma requires delta > 0")
 
     def value(x):
         return np.expm1(x) ** d
@@ -394,8 +396,6 @@ def _new_log_generalized_gamma(delta=1.0):
 
 def _burr_xii(c=1.0):
     cc = float(c)
-    if not (np.isfinite(cc) and cc > 0):
-        raise DomainError("burr-xii requires c > 0")
 
     # Large-x branches work in v = x**-c, which underflows gracefully where
     # x**c would overflow.
@@ -422,11 +422,6 @@ def _burr_xii(c=1.0):
     def inverse(z):
         return np.expm1(z) ** (1.0 / cc)
 
-    native = NativeParamMap(
-        names=("k",),
-        to_family=lambda k: (1.0, k),
-        from_family=lambda mu, sigma: {"k": sigma},
-    )
     return Generator(
         name="burr-xii",
         monotonicity="increasing",
@@ -436,14 +431,12 @@ def _burr_xii(c=1.0):
         d2=d2,
         inverse=inverse,
         family_class=LogPower(s=cc),
-        native=native,
+        native=_rate_native("k"),
     )
 
 
 def _dagum(c=1.0):
     cc = float(c)
-    if not (np.isfinite(cc) and cc > 0):
-        raise DomainError("dagum requires c > 0")
 
     def value(x):
         big = x >= 1.0
@@ -468,11 +461,6 @@ def _dagum(c=1.0):
     def inverse(z):
         return np.expm1(z) ** (-1.0 / cc)
 
-    native = NativeParamMap(
-        names=("k",),
-        to_family=lambda k: (1.0, k),
-        from_family=lambda mu, sigma: {"k": sigma},
-    )
     return Generator(
         name="dagum",
         monotonicity="decreasing",
@@ -482,14 +470,12 @@ def _dagum(c=1.0):
         d2=d2,
         inverse=inverse,
         family_class=LogPower(s=-cc),
-        native=native,
+        native=_rate_native("k"),
     )
 
 
 def _flexible_weibull(b=1.0, c=1.0):
     bb, cc = float(b), float(c)
-    if not (np.isfinite(bb) and bb > 0 and np.isfinite(cc) and cc > 0):
-        raise DomainError("flexible-weibull requires b > 0 and c > 0")
 
     def value(x):
         return np.exp(bb * x - cc / x)
@@ -506,11 +492,6 @@ def _flexible_weibull(b=1.0, c=1.0):
         lz = np.log(z)
         return (lz + np.sqrt(lz * lz + 4.0 * bb * cc)) / (2.0 * bb)
 
-    native = NativeParamMap(
-        names=("a",),
-        to_family=lambda a: (1.0, a),
-        from_family=lambda mu, sigma: {"a": sigma},
-    )
     return Generator(
         name="flexible-weibull",
         monotonicity="increasing",
@@ -520,14 +501,12 @@ def _flexible_weibull(b=1.0, c=1.0):
         d2=d2,
         inverse=inverse,
         log_value=lambda x: bb * x - cc / x,
-        native=native,
+        native=_rate_native("a"),
     )
 
 
 def _traditional_weibull(b=1.0, c=1.0, d=1.0):
     bb, cc, dd = float(b), float(c), float(d)
-    if not all(np.isfinite(v) and v > 0 for v in (bb, cc, dd)):
-        raise DomainError("traditional-weibull requires b, c, d > 0")
 
     def value(x):
         return x**bb * np.expm1(cc * x**dd)
@@ -542,18 +521,15 @@ def _traditional_weibull(b=1.0, c=1.0, d=1.0):
         return x ** (bb - 2.0) * ((bb - 1.0) * a + cc * dd * x**dd * e * (bb + dd + cc * dd * x**dd))
 
     def inverse(z):
+        # the Newton polish keeps its own T', with expm1 where d1 has
+        # exp - 1: the polished bits depend on it
         return _numeric_inverse(
-            lambda x: x**bb * np.expm1(cc * x**dd),
+            value,
             lambda x: x ** (bb - 1.0)
             * (bb * np.expm1(cc * x**dd) + cc * dd * x**dd * np.exp(cc * x**dd)),
             z,
         )
 
-    native = NativeParamMap(
-        names=("a",),
-        to_family=lambda a: (1.0, a),
-        from_family=lambda mu, sigma: {"a": sigma},
-    )
     return Generator(
         name="traditional-weibull",
         monotonicity="increasing",
@@ -563,14 +539,12 @@ def _traditional_weibull(b=1.0, c=1.0, d=1.0):
         d2=d2,
         inverse=inverse,
         minorant=(cc, bb + dd),
-        native=native,
+        native=_rate_native("a"),
     )
 
 
 def _modified_weibull_extension(alpha=1.0, beta=1.0):
     aa, bb = float(alpha), float(beta)
-    if not (np.isfinite(aa) and aa > 0 and np.isfinite(bb) and bb > 0):
-        raise DomainError("modified-weibull-extension requires alpha, beta > 0")
 
     def value(x):
         return np.expm1((x / aa) ** bb)
@@ -666,7 +640,7 @@ def make_generator(name: str, **shape_params) -> Generator:
     """Build a catalog generator by name with its shape parameters.
 
     Shape parameters not listed default to 1. Unknown names or parameters
-    raise; shape parameters must be positive and finite.
+    raise, as do shape parameters not finite and > 0: the one shape check.
     """
     key = _canonical(name)
     builder = _BUILDERS[key]

@@ -36,6 +36,11 @@ def _sequential_resample(n, B, rng, evaluate):
     return theta, ok
 
 
+def _one_sample(evaluate):
+    """The (s, idx) block form of an evaluate that takes the index matrix."""
+    return lambda blocks: evaluate(np.concatenate([idx for _, idx in blocks]))
+
+
 class _Scripted:
     """An evaluate that numbers the rows it sees in order and rejects the
     numbers in ``reject`` (or, with reject=None, the all-equal rows)."""
@@ -66,7 +71,7 @@ def test_resample_rounds_match_one_row_redraws():
     reject = [2, 5, 9, *range(B, first), *range(first + 1, first + 1 + tries)]
     rounds, sequential = _Scripted(reject), _Scripted(reject)
     rng_a, rng_b = RngStream(21, 4), RngStream(21, 4)
-    theta, ok = _resample_estimates(n, B, rng_a, rounds)
+    theta, ok = _resample_estimates(n, B, (rng_a,), _one_sample(rounds))
     ref_theta, ref_ok = _sequential_resample(n, B, rng_b, sequential)
     assert np.array_equal(theta, ref_theta, equal_nan=True)
     assert np.array_equal(ok, ref_ok)
@@ -80,7 +85,7 @@ def test_resample_rounds_batch_the_redraws():
     B, n = 200, 3
     rounds, sequential = _Scripted(), _Scripted()
     rng_a, rng_b = RngStream(8, 1), RngStream(8, 1)
-    theta, ok = _resample_estimates(n, B, rng_a, rounds)
+    theta, ok = _resample_estimates(n, B, (rng_a,), _one_sample(rounds))
     ref_theta, ref_ok = _sequential_resample(n, B, rng_b, sequential)
     assert np.array_equal(theta, ref_theta, equal_nan=True)
     assert np.array_equal(ok, ref_ok)

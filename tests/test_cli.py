@@ -330,6 +330,58 @@ def test_argparse_usage_exits_two(capsys):
     assert main([]) == 2
 
 
+# Failure paths of every subcommand with their documented exit codes: 2 for
+# usage, 3 for data, 4 for numeric failures. {ok}, {neg}, {junk}, {one},
+# {big}, {csv} and {absent} name files the test writes (or does not).
+_FAILURES = [
+    ([], 2),
+    (["no-such-command"], 2),
+    (["fit"], 2),
+    (["fit", "{ok}"], 2),
+    (["fit", "--generator", "nope", "{ok}"], 2),
+    (["fit", "--generator", "weibull(delta=-1)", "{ok}"], 2),
+    (["fit", "--generator", "gamma", "--bogus", "{ok}"], 2),
+    (["fit", "--generator", "gamma", "{neg}"], 3),
+    (["fit", "--generator", "gamma", "{junk}"], 3),
+    (["fit", "--generator", "gamma", "{absent}"], 3),
+    (["fit", "--generator", "gamma", "{one}"], 4),
+    (["fit", "--generator", "nlgg", "{big}"], 4),
+    (["sample"], 2),
+    (["sample", "--generator", "gamma", "--mu", "1", "--sigma", "1", "--n", "x",
+      "--seed", "1"], 2),
+    (["sample", "--generator", "gamma", "--mu", "1", "--n", "5", "--seed", "1"], 2),
+    (["sample", "--generator", "gamma", "--mu", "1e-300", "--sigma", "1", "--n", "5",
+      "--seed", "1"], 4),
+    (["experiment"], 2),
+    (["experiment", "--out", "{csv}"], 2),
+    (["experiment", "--smoke", "--estimator", "nope", "--seed", "1", "--out", "{csv}"], 2),
+    (["experiment", "--config", "{absent}", "--out", "{csv}"], 3),
+    (["plot"], 2),
+    (["plot", "--in", "{junk}", "--out", "{csv}"], 3),
+    (["plot", "--in", "{absent}", "--out", "{csv}"], 3),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv,code", _FAILURES, ids=[" ".join(a) or "-" for a, _ in _FAILURES])
+def test_every_failure_prints_one_error_pair(tmp_path, capsys, argv, code, as_json):
+    files = {"ok": "1\n2\n3\n", "neg": "-1\n2\n", "junk": "x\n1\n", "one": "4\n",
+             "big": "800\n1\n2\n"}
+    paths = {"csv": str(tmp_path / "out.csv"), "absent": str(tmp_path / "absent.txt")}
+    for key, text in files.items():
+        paths[key] = str(tmp_path / f"{key}.txt")
+        (tmp_path / f"{key}.txt").write_text(text, encoding="utf-8")
+    argv = [a.format(**paths) for a in argv] + (["--json"] if as_json else [])
+    got, _, err = run_cli(argv, capsys)
+    assert got == code
+    lines = err.splitlines()
+    if as_json:
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error", "message"]
+    else:
+        assert [line.partition("=")[0] for line in lines] == ["error", "message"]
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gamgen.cli", "--help"],

@@ -10,6 +10,7 @@ from gamgen import (
     DomainError,
     FamilyParams,
     LogPower,
+    OverflowInValue,
     PowerLaw,
     RngStream,
     Sample,
@@ -24,6 +25,7 @@ from gamgen import (
     log_pdf,
     make_generator,
     parse_generator_spec,
+    quantile,
     sample,
     special,
 )
@@ -99,6 +101,47 @@ def test_native_parameter_round_trip(name, shapes):
     back = g.native.from_family(mu, sigma)
     for k, v in native.items():
         assert abs(float(back[k]) - v) <= 1e-12 * v
+
+
+# Rows whose native map is now shared with another row, each with the map it
+# used to spell out for itself: (name, shapes, to_family, from_family).
+_WRITTEN_OUT_NATIVE = [
+    ("gamma", {},
+     lambda alpha, beta: (alpha, 1.0 / (alpha * beta)),
+     lambda mu, sigma: {"alpha": mu, "beta": 1.0 / (mu * sigma)}),
+    ("inverse-gamma", {},
+     lambda alpha, beta: (alpha, 1.0 / (alpha * beta)),
+     lambda mu, sigma: {"alpha": mu, "beta": 1.0 / (mu * sigma)}),
+    ("weibull", {"delta": 2.0},
+     lambda beta: (1.0, beta**-2.0),
+     lambda mu, sigma: {"beta": sigma ** (-1.0 / 2.0)}),
+    ("inverse-weibull", {"delta": 1.5},
+     lambda beta: (1.0, beta**-1.5),
+     lambda mu, sigma: {"beta": sigma ** (-1.0 / 1.5)}),
+    ("gompertz", {"delta": 2.0},
+     lambda alpha: (1.0, alpha), lambda mu, sigma: {"alpha": sigma}),
+    ("burr-xii", {"c": 2.0}, lambda k: (1.0, k), lambda mu, sigma: {"k": sigma}),
+    ("dagum", {"c": 2.0}, lambda k: (1.0, k), lambda mu, sigma: {"k": sigma}),
+    ("flexible-weibull", {"b": 1.0, "c": 0.5},
+     lambda a: (1.0, a), lambda mu, sigma: {"a": sigma}),
+    ("traditional-weibull", {"b": 1.0, "c": 1.0, "d": 1.0},
+     lambda a: (1.0, a), lambda mu, sigma: {"a": sigma}),
+]
+
+
+@pytest.mark.parametrize("name,shapes,to_family,from_family", _WRITTEN_OUT_NATIVE,
+                         ids=[row[0] for row in _WRITTEN_OUT_NATIVE])
+def test_shared_native_maps_keep_their_bits(name, shapes, to_family, from_family):
+    native = make_generator(name, **shapes).native
+    rng = np.random.default_rng(4)
+    arrays = tuple(np.geomspace(1e-3, 1e5, 17) * (1.0 + rng.random(17)) for _ in range(2))
+    for u, v in ((0.3, 2.5), (1.0, 7.1e-3), (1e5, 1.0), arrays):
+        args = dict(zip(native.names, (u, v)))
+        got, want = native.to_family(**args), to_family(**args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, args)
+        got, want = native.from_family(u, v), from_family(u, v)
+        assert list(got) == list(want) == list(native.names)
+        assert all(np.array_equal(got[k], want[k]) for k in want), (name, u, v)
 
 
 def test_gamma_pins():
@@ -180,6 +223,20 @@ def test_unknown_and_invalid_generators():
         make_generator("gamma", delta=2.0)  # gamma takes no shape parameters
 
 
+@pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))
+def test_every_shape_parameter_is_checked(name, shapes):
+    # make_generator is the one shape check, and parse_generator_spec goes
+    # through it
+    for key in shapes:
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            params = {**shapes, key: bad}
+            with pytest.raises(DomainError):
+                make_generator(name, **params)
+            spec = name + "(" + ", ".join(f"{k}={v!r}" for k, v in params.items()) + ")"
+            with pytest.raises(DomainError):
+                parse_generator_spec(spec)
+
+
 def test_domain_guard():
     g = make_generator("gamma")
     for bad in (0.0, -1.0, float("nan")):
@@ -239,8 +296,13 @@ def _bisect_140_numeric_inverse(value, d1, z):
             break
         lo[shrink] *= 0.25
         shrink = shrink & (value(lo) >= z)
+    far = np.nonzero((lo < 2.0**-511) | (hi > 2.0**511))[0]
     for _ in range(140):
         mid = np.sqrt(lo * hi)
+        if far.size:
+            p = lo[far] * hi[far]
+            off = far[~((p >= np.finfo(np.float64).tiny) & (p < np.inf))]
+            mid[off] = np.sqrt(lo[off]) * np.sqrt(hi[off])
         high = value(mid) >= z
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
@@ -249,6 +311,7 @@ def _bisect_140_numeric_inverse(value, d1, z):
         step = (value(x) - z) / d1(x)
         x_new = x - step
         x = np.where((x_new > lo) & (x_new < hi), x_new, x)
+    x[far[lo[far] == 0.0]] = 0.0
     return x
 
 
@@ -261,6 +324,24 @@ def test_numeric_inverse_stops_at_its_fixed_point(monkeypatch, b, c, d):
     got = g.raw.inverse(z)
     monkeypatch.setattr(generators, "_numeric_inverse", _bisect_140_numeric_inverse)
     assert np.array_equal(got, g.raw.inverse(z))
+
+
+@pytest.mark.parametrize("b,c,d,z", [(1.0, 5.0, 0.1, 1e-250), (1.0, 1.0, 0.01, 1e200),
+                                     (1.0, 5.0, 0.1, 1e-180)])
+def test_numeric_inverse_beyond_the_normal_product_range(b, c, d, z):
+    # the root is below 1e-154 or above 1e154, so lo*hi leaves the normal range
+    g = make_generator("traditional-weibull", b=b, c=c, d=d)
+    x = inverse_of(g, z)
+    assert abs(g.value(x) / z - 1.0) <= 1e-12
+
+
+def test_numeric_inverse_below_every_float_is_an_overflow_error():
+    # T(x) ~ 2 x^0.8 near 0, so T(x) = 1e-300 at x ~ 1e-376, below every float
+    g = make_generator("traditional-weibull", b=0.3, c=2.0, d=0.5)
+    with pytest.raises(OverflowInValue):
+        inverse_of(g, 1e-300)
+    with pytest.raises(OverflowInValue):
+        quantile(1e-300, FamilyParams(1.0, 1.0), g)
 
 
 def test_replaced_generator_routes_internal_calls():
