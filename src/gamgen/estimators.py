@@ -217,80 +217,84 @@ def _solve_mu_ml_array(h: np.ndarray):
     bracket until the residual changes sign, then Newton steps with the
     derivative taken by central finite difference, falling back to bisection
     whenever a step leaves the bracket, until |residual| <= 1e-12 or 200
-    steps. The two sides of the difference go through one digamma pass, and
-    digamma is the unvalidated kernel, since every argument here is finite
-    and positive. All of it is elementwise, so
-    an entry's root and iteration count do not depend on the other entries.
-    An analytic trigamma derivative would take fewer digamma evaluations but
-    move the Newton iterates, and with them the last bits of the root.
+    steps. digamma is the unvalidated kernel, since every argument here is
+    finite and positive.
 
-    Returns (root, iterations, residual, (lo, hi), converged): an entry that
-    could not be bracketed or ran out of iterations is False in the mask.
+    A digamma pass costs about as much on one entry as on thousands, so the
+    solve makes one ln(x) - psi(x) pass to start, over the bracket ends lo
+    and hi, mu0 and mu0 +- mu0 * 1e-7, and then one pass per Newton step,
+    over each new iterate and its two sides, whose central difference the
+    next step reads: 1 + k passes for k steps where the bracket needs no
+    growth. The steps run only on the entries still moving, gathered by
+    index. The first iterate is mu0 itself: the bracket starts at
+    [mu0 / 10, 10 mu0] and only widens, so mu0 lies strictly inside it.
+    All of it is elementwise, so an entry's root, iteration count, residual
+    and bracket do not depend on the other entries, nor on how the values
+    are grouped into passes. An analytic trigamma derivative would take
+    fewer digamma evaluations but move the Newton iterates, and with them
+    the last bits of the root.
+
+    h is taken as a flat array. Returns (root, iterations, residual,
+    (lo, hi), converged): an entry that could not be bracketed or ran out of
+    iterations is False in the mask.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64).ravel()
     if h.size == 0:
         empty = h.copy()
         return empty, np.zeros(0, dtype=np.int64), empty, (empty, empty), np.zeros(0, bool)
     if np.any(~np.isfinite(h)) or np.any(h <= 0.0):
         raise DomainError("ML equation solve requires h > 0")
 
-    def f(m):
-        return np.log(m) - _digamma(m) - h
+    def lhs(x):
+        return np.log(x) - _digamma(x)
 
-    def f_at(m, idx):
-        return np.log(m) - _digamma(m) - h[idx]
-
-    mu0 = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
-    lo = mu0 / 10.0
-    hi = mu0 * 10.0
-    flo = f(lo)
+    m = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+    lo = m / 10.0
+    hi = m * 10.0
+    step = m * 1e-7
+    flo, fhi, fm, f_up, f_down = lhs(np.stack([lo, hi, m, m + step, m - step])) - h
+    fp = (f_up - f_down) / (2.0 * step)
     for _ in range(300):
         bad = flo < 0.0
         if not bad.any():
             break
         lo[bad] /= 4.0
-        flo[bad] = f_at(lo[bad], bad)
-    fhi = f(hi)
+        flo[bad] = lhs(lo[bad]) - h[bad]
     for _ in range(300):
         bad = fhi > 0.0
         if not bad.any():
             break
         hi[bad] *= 4.0
-        fhi[bad] = f_at(hi[bad], bad)
+        fhi[bad] = lhs(hi[bad]) - h[bad]
     bracketed = ~(flo < 0.0) & ~(fhi > 0.0)
 
     bracket0 = (lo.copy(), hi.copy())
-    m = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
-    fm = f(m)
     iters = np.zeros(h.shape, dtype=np.int64)
-    active = bracketed & (np.abs(fm) > 1e-12)
+    # Newton steps on the entries still moving, gathered once by index
+    idx = np.flatnonzero(bracketed & (np.abs(fm) > 1e-12))
+    am, af, afp, alo, ahi, ah = (a[idx] for a in (m, fm, fp, lo, hi, h))
     for _ in range(200):
-        if not active.any():
+        if not idx.size:
             break
-        pos = active & (fm > 0.0)
-        lo[pos] = m[pos]
-        neg = active & (fm < 0.0)
-        hi[neg] = m[neg]
-        ma = m[active]
-        ha = h[active]
-        step = ma * 1e-7
-        sides = np.concatenate([ma + step, ma - step])
-        lhs = np.log(sides) - _digamma(sides)
-        k = ma.size
-        fp = ((lhs[:k] - ha) - (lhs[k:] - ha)) / (2.0 * step)
+        alo = np.where(af > 0.0, am, alo)
+        ahi = np.where(af < 0.0, am, ahi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = ma - fm[active] / fp
-        inside = np.isfinite(newton) & (newton > lo[active]) & (newton < hi[active])
-        newton = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
-        m[active] = newton
-        fm[active] = f_at(newton, active)
-        iters[active] += 1
-        active = bracketed & (np.abs(fm) > 1e-12)
+            newton = am - af / afp
+        inside = np.isfinite(newton) & (newton > alo) & (newton < ahi)
+        am = np.where(inside, newton, 0.5 * (alo + ahi))
+        step = am * 1e-7
+        af, f_up, f_down = lhs(np.stack([am, am + step, am - step])) - ah
+        afp = (f_up - f_down) / (2.0 * step)
+        m[idx] = am
+        fm[idx] = af
+        iters[idx] += 1
         # ulp-limited plateau: stop when the bracket cannot shrink further
-        stuck = active & ((hi - lo) <= np.spacing(lo) * 4.0)
-        if stuck.any():
-            active = active & ~stuck
-    return m, iters, fm, bracket0, bracketed & ~active
+        go = (np.abs(af) > 1e-12) & ~((ahi - alo) <= np.spacing(alo) * 4.0)
+        if not go.all():
+            idx, am, af, afp, alo, ahi, ah = (a[go] for a in (idx, am, af, afp, alo, ahi, ah))
+    converged = bracketed.copy()
+    converged[idx] = False
+    return m, iters, fm, bracket0, converged
 
 
 def estimate_mu_ml(sample: Sample, g: Generator):

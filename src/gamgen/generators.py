@@ -142,6 +142,7 @@ def inverse_of(g: Generator, z):
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+_MAX = np.finfo(np.float64).max
 
 
 def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
@@ -158,21 +159,22 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
 
     lo*hi stays normal while both ends lie in [2^-511, 2^511], and the
     bracket only shrinks. An entry with an end outside that range takes
-    sqrt(lo)*sqrt(hi) at the steps where lo*hi is not normal, so roots
-    from the subnormals up to the largest float are found. Where lo
-    underflowed to 0 the root is below every float, and the result is 0.
+    sqrt(lo)*sqrt(hi) at the steps where lo*hi is not normal, and its
+    polish starts from lo/2 + hi/2 where lo + hi overflows, so roots from
+    the subnormals up to the largest float are found. hi grows by 4 up to
+    the largest float; where value is still below z there, the root is
+    above every float and OverflowInValue is raised. Where lo underflowed
+    to 0 the root is below every float, and the result is 0.
     """
     lo = np.ones_like(z)
     hi = np.ones_like(z)
     v = value(np.ones_like(z))
     grow = v < z
-    for _ in range(600):
-        if not grow.any():
-            break
-        hi[grow] *= 4.0
+    while grow.any():  # hi reaches _MAX within 512 steps
+        if (hi[grow] == _MAX).any():
+            raise OverflowInValue("generator value stays below z up to the largest float")
+        hi[grow] = np.minimum(hi[grow] * 4.0, _MAX)
         grow = grow & (value(hi) < z)
-    else:
-        raise ConvergenceError("numeric inverse failed to bracket above")
     shrink = v >= z
     for _ in range(600):
         if not shrink.any():
@@ -194,6 +196,8 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
     x = 0.5 * (lo + hi)
+    top = far[x[far] == np.inf]
+    x[top] = 0.5 * lo[top] + 0.5 * hi[top]
     for _ in range(3):
         step = (value(x) - z) / d1(x)
         x_new = x - step

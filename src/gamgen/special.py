@@ -122,15 +122,21 @@ def digamma(x):
 
 
 def _digamma(arr: np.ndarray) -> np.ndarray:
-    """digamma on a float64 array already known to be finite and > 0."""
-    w = arr
+    """digamma on a float64 array already known to be finite and > 0.
+
+    The lift runs in place on a copy of the input: an entry that needs no
+    more lifting adds 0.0 to its shift and to its argument, which is exact
+    (its 1/w is finite, since w >= 6), so each entry has the bits of the
+    masked update.
+    """
+    w = arr.copy()
     shift = np.zeros_like(w)
     for _ in range(6):
         mask = w < 6.0
         if not mask.any():
             break
-        shift = np.where(mask, shift + 1.0 / w, shift)
-        w = np.where(mask, w + 1.0, w)
+        shift += mask * (1.0 / w)
+        w += mask
     t = 1.0 / (w * w)
     series = _DIGAMMA[-1]
     for coef in _DIGAMMA[-2::-1]:

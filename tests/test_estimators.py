@@ -31,6 +31,7 @@ from gamgen import (
     sample as draw,
     score_vector,
 )
+from gamgen import estimators
 from gamgen.estimators import _solve_mu_ml_array
 
 from conftest import POWER_LAW_SWEEP, random_param_points, sweep_ids
@@ -119,6 +120,140 @@ def test_mu_ml_constructed_fixed_points():
     assert abs(m[1] - 2.0) < 1e-8
     assert np.all(np.abs(resid) <= 1e-10)
     assert np.all(iters <= 200)
+
+
+def _separate_pass_solve_mu_ml(h):
+    # estimators._solve_mu_ml_array with a digamma pass of its own for f(lo),
+    # f(hi) and f(mu0), and two per Newton step: the sides, then f(new)
+    h = np.asarray(h, dtype=np.float64)
+
+    def f(m):
+        return np.log(m) - estimators._digamma(m) - h
+
+    def f_at(m, idx):
+        return np.log(m) - estimators._digamma(m) - h[idx]
+
+    mu0 = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+    lo = mu0 / 10.0
+    hi = mu0 * 10.0
+    flo = f(lo)
+    for _ in range(300):
+        bad = flo < 0.0
+        if not bad.any():
+            break
+        lo[bad] /= 4.0
+        flo[bad] = f_at(lo[bad], bad)
+    fhi = f(hi)
+    for _ in range(300):
+        bad = fhi > 0.0
+        if not bad.any():
+            break
+        hi[bad] *= 4.0
+        fhi[bad] = f_at(hi[bad], bad)
+    bracketed = ~(flo < 0.0) & ~(fhi > 0.0)
+    bracket0 = (lo.copy(), hi.copy())
+    m = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
+    fm = f(m)
+    iters = np.zeros(h.shape, dtype=np.int64)
+    active = bracketed & (np.abs(fm) > 1e-12)
+    for _ in range(200):
+        if not active.any():
+            break
+        pos = active & (fm > 0.0)
+        lo[pos] = m[pos]
+        neg = active & (fm < 0.0)
+        hi[neg] = m[neg]
+        ma = m[active]
+        ha = h[active]
+        step = ma * 1e-7
+        sides = np.concatenate([ma + step, ma - step])
+        lhs = np.log(sides) - estimators._digamma(sides)
+        k = ma.size
+        fp = ((lhs[:k] - ha) - (lhs[k:] - ha)) / (2.0 * step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ma - fm[active] / fp
+        inside = np.isfinite(newton) & (newton > lo[active]) & (newton < hi[active])
+        newton = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+        m[active] = newton
+        fm[active] = f_at(newton, active)
+        iters[active] += 1
+        active = bracketed & (np.abs(fm) > 1e-12)
+        stuck = active & ((hi - lo) <= np.spacing(lo) * 4.0)
+        if stuck.any():
+            active = active & ~stuck
+    return m, iters, fm, bracket0, bracketed & ~active
+
+
+def _resample_h(n, reps, seed):
+    # H of the bootstrap resamples of gamma samples of size n, ties included
+    y = draw(n * reps, FamilyParams(0.8, 1.0), GAMMA, RngStream(seed, 0)).reshape(reps, n)
+    idx = RngStream(seed, 1).integers(0, n, size=(reps, n))
+    r = np.take_along_axis(y, idx, axis=1)
+    h = np.log(r.mean(axis=1)) - np.log(r).mean(axis=1)
+    return h[h > 0.0]
+
+
+EXTREME_H = np.array([5e-324, 1e-310, 1e-200, 1e-40, 1e-17, 1e-16, 3e-16, 1e3, 1e8,
+                      1e16, 1e100, 1e200, 1e306, 1.5e307, 1e308])
+
+
+@pytest.mark.parametrize("case", ["grid", "resamples", "extreme"])
+def test_solver_keeps_the_bits_of_separate_passes(case):
+    h = {
+        "grid": np.geomspace(1e-14, 1e4, 20_001),
+        "resamples": _resample_h(3, 20_000, 101),
+        "extreme": EXTREME_H,
+    }[case]
+    # the extreme entries overflow mu0 or w * w, as they always have
+    with np.errstate(all="ignore"):
+        got = _solve_mu_ml_array(h.copy())
+        want = _separate_pass_solve_mu_ml(h.copy())
+    for a, b in zip(got[:3] + got[3] + got[4:], want[:3] + want[3] + want[4:]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def test_solver_starts_from_mu0():
+    # the bracket starts at [mu0 / 10, 10 mu0] and only widens, so clipping
+    # mu0 to its inside leaves it as it is
+    h = np.concatenate([np.geomspace(1e-14, 1e4, 2_001), _resample_h(3, 2_000, 103), EXTREME_H])
+    with np.errstate(all="ignore"):
+        mu0 = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+        _, _, _, (lo, hi), _ = _solve_mu_ml_array(h)
+        clipped = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
+    assert np.array_equal(clipped, mu0, equal_nan=True)
+
+
+def _count_passes(monkeypatch, fn, h):
+    passes = []
+
+    def counting(x):
+        passes.append(x.size)
+        return digamma_kernel(x)
+
+    digamma_kernel = estimators._digamma
+    monkeypatch.setattr(estimators, "_digamma", counting)
+    out = fn(h)
+    monkeypatch.undo()
+    return len(passes), out
+
+
+def test_solver_makes_one_pass_to_start_and_one_per_step(monkeypatch):
+    h = np.geomspace(1e-3, 10.0, 40)
+    mu0 = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+    passes, (_, iters, _, (lo, hi), converged) = _count_passes(monkeypatch, _solve_mu_ml_array, h)
+    # no entry needed bracket growth
+    assert np.array_equal(lo, mu0 / 10.0) and np.array_equal(hi, mu0 * 10.0)
+    assert converged.all()
+    k = int(iters.max())
+    assert k >= 3
+    assert passes == 1 + k
+    old_passes, _ = _count_passes(monkeypatch, _separate_pass_solve_mu_ml, h)
+    assert old_passes == 3 + 2 * k
+    # one entry at a time, as estimate_mu_ml solves
+    for one in (0.05, 2.0):
+        passes, (_, iters, _, _, _) = _count_passes(monkeypatch, _solve_mu_ml_array, np.array([one]))
+        assert passes == 1 + int(iters[0])
 
 
 def test_mu_ml_errors():

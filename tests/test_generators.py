@@ -288,7 +288,7 @@ def _bisect_140_numeric_inverse(value, d1, z):
     for _ in range(600):
         if not grow.any():
             break
-        hi[grow] *= 4.0
+        hi[grow] = np.minimum(hi[grow] * 4.0, np.finfo(np.float64).max)
         grow = grow & (value(hi) < z)
     shrink = v >= z
     for _ in range(600):
@@ -307,6 +307,8 @@ def _bisect_140_numeric_inverse(value, d1, z):
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
     x = 0.5 * (lo + hi)
+    top = far[x[far] == np.inf]
+    x[top] = 0.5 * lo[top] + 0.5 * hi[top]
     for _ in range(3):
         step = (value(x) - z) / d1(x)
         x_new = x - step
@@ -333,6 +335,26 @@ def test_numeric_inverse_beyond_the_normal_product_range(b, c, d, z):
     g = make_generator("traditional-weibull", b=b, c=c, d=d)
     x = inverse_of(g, z)
     assert abs(g.value(x) / z - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [2e307, 3.5e307])
+def test_numeric_inverse_above_the_largest_power_of_four(z):
+    # the roots, about 8.9e307 and 1.55e308, lie above 2^1022, and the
+    # second above half the largest float
+    g = make_generator("traditional-weibull", b=1.0, c=0.1, d=0.001)
+    x = inverse_of(g, z)
+    assert x > 2.0**1022
+    assert abs(g.value(x) / z - 1.0) <= 4.6e-13
+
+
+def test_numeric_inverse_above_every_float_is_an_overflow_error():
+    # T(largest float) is about 1.5e30 here, and T(x) = 1.4e30 at x ~ 8.6e307
+    g = make_generator("traditional-weibull", b=0.1, c=0.1, d=0.001)
+    assert abs(g.value(inverse_of(g, 1.4e30)) / 1.4e30 - 1.0) <= 4.6e-13
+    with pytest.raises(OverflowInValue):
+        inverse_of(g, 1e31)
+    with pytest.raises(OverflowInValue):
+        inverse_of(g, np.array([1.0, 1e31]))
 
 
 def test_numeric_inverse_below_every_float_is_an_overflow_error():

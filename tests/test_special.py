@@ -75,6 +75,43 @@ def test_digamma_matches_scipy_on_grid():
     assert np.all(np.abs(ours - ref) <= 1e-10 + 4.0 * np.spacing(np.abs(ref)))
 
 
+def _where_lift_digamma(arr):
+    # special._digamma with its lift written as two np.where per step
+    w = arr
+    shift = np.zeros_like(w)
+    for _ in range(6):
+        mask = w < 6.0
+        if not mask.any():
+            break
+        shift = np.where(mask, shift + 1.0 / w, shift)
+        w = np.where(mask, w + 1.0, w)
+    t = 1.0 / (w * w)
+    series = special._DIGAMMA[-1]
+    for coef in special._DIGAMMA[-2::-1]:
+        series = coef + t * series
+    return np.log(w) - 0.5 / w - t * series - shift
+
+
+@pytest.mark.parametrize("case", ["geomspace", "uniform"])
+def test_digamma_in_place_lift_keeps_its_bits(case):
+    x = {
+        "geomspace": np.geomspace(1e-300, 1e300, 200_001),
+        "uniform": np.random.default_rng(20261019).uniform(1e-9, 12.0, 200_001),
+    }[case]
+    with np.errstate(over="ignore"):  # w * w overflows above ~1e154, as always
+        want = _where_lift_digamma(x)
+        assert np.array_equal(special._digamma(x), want)
+    assert np.array_equal(digamma(x), want)
+
+
+def test_digamma_leaves_its_input_unchanged():
+    x = np.array([1e-9, 0.5, 1.0, 5.999, 6.0, 7.5, 1e6])
+    before = x.copy()
+    digamma(x)
+    special._digamma(x)
+    assert np.array_equal(x, before)
+
+
 def test_binet_bound_on_grid():
     # ln x - psi(x) > 1/(2x), the inequality behind uniqueness of the ML root
     grid = np.geomspace(1e-3, 1e5, 81)
