@@ -94,9 +94,18 @@ class Sample:
 
 def _power(y, p):
     """y ** p, raising OverflowInValue where it overflows or underflows to 0,
-    so that no generator kernel sees an argument outside (0, inf)."""
+    so that no generator kernel sees an argument outside (0, inf).
+
+    p is a scalar, or a column of k powers (shape (k, 1)) for a flat y, which
+    gives one row per power. Each row is y raised to its power as a Python
+    float: numpy takes fast paths (sqrt, y * y) for a scalar power that an
+    array of powers does not, so a broadcast power could move a row's bits.
+    """
     with np.errstate(over="ignore"):
-        x = np.asarray(y) ** p
+        if np.ndim(p):
+            x = np.array([y ** q for q in np.ravel(p).tolist()])
+        else:
+            x = np.asarray(y) ** p
     if not np.all((x > 0.0) & (x < np.inf)):
         raise OverflowInValue("Y^p left the positive float64 range")
     return x

@@ -22,6 +22,7 @@ from .errors import (
     InvalidSampleError,
     NoRootInBracketError,
     OverflowInValue,
+    positive_array,
 )
 from .generators import Generator, inverse_of
 from .special import RngStream, _digamma, digamma, sample_gamma
@@ -44,6 +45,17 @@ __all__ = [
     "log_likelihood",
     "fit_family",
 ]
+
+
+# Values per (k, n) array of one grid pass in fit_full_ml. A pass holds
+# about ten such arrays at once. At 5 000 float64 values (40 000 bytes)
+# each is below 64 KiB, the smallest block whose free() makes glibc check
+# whether to trim the top of the heap, so a pass never hands its memory
+# back to be page-faulted in again by the next one. Larger blocks, such as
+# one (6, 15, 1000) array per pass, page-fault by amounts that depend on
+# the heap's history (about 1 000 minor faults per fit at n = 1000 in a
+# fresh process), so their cost varies from run to run.
+_GRID_BLOCK_VALUES = 5_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +94,13 @@ class FullMlFit:
     infeasible_points: int
 
 
-def _pointwise(g: Generator, y: np.ndarray, p: float = 1.0) -> np.ndarray:
-    """Rows T(x), ln T(x), ln y, w, a, r at x = y^p, shape (6,) + y.shape.
+def _pointwise_terms(g: Generator, y: np.ndarray, p=1.0) -> tuple:
+    """The six rows of _pointwise as separate arrays: T(x), ln T(x), w, a
+    and r shaped like x, ln y shaped like y.
 
-    w, a, r are the summands of the profile shape estimator:
-    w = (T''/T' - T'/T)(x) x ln y, a = T'(x) x ln y, r = (T'/T)(x) x ln y.
+    p is a scalar, or a column of k powers (shape (k, 1)) for a flat y,
+    which gives every row but ln y at every power, (k, n), with the bits of
+    each power on its own.
     """
     x = _power(y, p)
     t1, log_t1 = _t1_and_log(g, x)
@@ -98,7 +112,16 @@ def _pointwise(g: Generator, y: np.ndarray, p: float = 1.0) -> np.ndarray:
     xl = x * log_y
     # T may underflow to 0 where ln T is finite; the finiteness checks catch the inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.stack([t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl])
+        return t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl
+
+
+def _pointwise(g: Generator, y: np.ndarray, p: float = 1.0) -> np.ndarray:
+    """Rows T(x), ln T(x), ln y, w, a, r at x = y^p, shape (6,) + y.shape.
+
+    w, a, r are the summands of the profile shape estimator:
+    w = (T''/T' - T'/T)(x) x ln y, a = T'(x) x ln y, r = (T'/T)(x) x ln y.
+    """
+    return np.stack(_pointwise_terms(g, y, p))
 
 
 def _mean_last(x: np.ndarray):
@@ -141,12 +164,16 @@ def _check_power(p) -> float:
     return p
 
 
-def profile_sigma(sample: Sample, g: Generator, p: float) -> float:
-    """Profile estimator of sigma at power p: n / sum T(Y_i^p)."""
-    total = float(_means(sample, g, _check_power(p))[0])
+def _positive_total(mean_t1) -> float:
+    total = float(mean_t1)
     if not np.isfinite(total) or total <= 0.0:
         raise OverflowInValue("sum of generator values is not finite and positive")
-    return 1.0 / total
+    return total
+
+
+def profile_sigma(sample: Sample, g: Generator, p: float) -> float:
+    """Profile estimator of sigma at power p: n / sum T(Y_i^p)."""
+    return 1.0 / _positive_total(_means(sample, g, _check_power(p))[0])
 
 
 def _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p=1.0):
@@ -167,8 +194,10 @@ def profile_mu(sample: Sample, g: Generator, p: float) -> float:
     p = _check_power(p)
     _require_spread(sample, "closed-form mu")
     mean_t1, _, mean_log_y, mean_w, mean_a, mean_r = _means(sample, g, p)
+    # checked first: a mean T that underflows to 0 would divide by zero
+    total = _positive_total(mean_t1)
     numer, denom = _mu_closed_from_means(
-        float(mean_log_y), float(mean_w), float(mean_t1), float(mean_a), float(mean_r), p
+        float(mean_log_y), float(mean_w), total, float(mean_a), float(mean_r), p
     )
     if not (np.isfinite(numer) and np.isfinite(denom)):
         raise OverflowInValue("closed-form mu produced a non-finite intermediate")
@@ -266,7 +295,8 @@ def _solve_mu_ml_array(h: np.ndarray):
             break
         hi[bad] *= 4.0
         fhi[bad] = lhs(hi[bad]) - h[bad]
-    bracketed = ~(flo < 0.0) & ~(fhi > 0.0)
+    # a NaN end (mu0 overflowed) is not a bracket
+    bracketed = (flo >= 0.0) & (fhi <= 0.0)
 
     bracket0 = (lo.copy(), hi.copy())
     iters = np.zeros(h.shape, dtype=np.int64)
@@ -320,19 +350,46 @@ def estimate_mu_ml(sample: Sample, g: Generator):
     return float(m[0]), diag
 
 
-def _power_residual(sample: Sample, g: Generator, p: float):
-    """Residual of the profiled mu-score equation at power p, or None if the
-    profile estimates are infeasible there."""
+def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
+    """Residuals of the profiled mu-score equation at the powers p, with the
+    profile estimates mu and sigma there, as three arrays shaped like p.
+
+    Entry by entry this is profile_mu and profile_sigma at one power on the
+    flat sample y, then ln mu - psi(mu) + ln sigma + mean ln T. All of p
+    takes one _pointwise_terms pass and one digamma pass. More than one
+    power take the mean of each (k, n) term, which sums each row in the
+    order of the (6, n) rows; a single power takes those rows from
+    _pointwise, as profile_mu does, because _mean_last of a lone (1, n) row
+    can sum in another order. A residual is NaN where either profile would
+    raise InvalidSampleError or OverflowInValue, or where it is not finite.
+    A block that overflows is redone one power at a time, so the overflow
+    marks only its own powers. The spread check is left to the caller.
+    """
     try:
-        mu_p = profile_mu(sample, g, p)
-        sigma_p = profile_sigma(sample, g, p)
-    except (InvalidSampleError, OverflowInValue):
-        return None, None, None
-    rhs = -np.log(sigma_p) - float(_means(sample, g, p)[1])
-    resid = float(np.log(mu_p) - digamma(mu_p) - rhs)
-    if not np.isfinite(resid):
-        return None, None, None
-    return resid, mu_p, sigma_p
+        if p.size == 1:
+            means = _mean_last(_pointwise(g, y, float(p[0])))[:, None]
+        else:
+            terms = _pointwise_terms(g, y, p[:, None])
+            means = [_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms]
+    except OverflowInValue:
+        if p.size == 1:
+            return (np.full(1, np.nan),) * 3
+        parts = [_power_residuals(y, g, p[i : i + 1]) for i in range(p.size)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = means
+    resid = np.full(p.shape, np.nan)
+    with np.errstate(all="ignore"):
+        numer, denom = _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p)
+        mu = numer / denom
+        sigma = 1.0 / mean_t1
+        ok = (np.isfinite(mean_t1) & (mean_t1 > 0.0) & np.isfinite(numer)
+              & np.isfinite(denom) & (denom > 0.0) & (mu > 0.0))
+        # profile_mu can return mu = inf, which digamma rejects
+        mu_ok = positive_array(mu[ok], "digamma argument")
+        rhs = -np.log(sigma[ok]) - mean_log_t1[ok]
+        resid[ok] = np.log(mu_ok) - _digamma(mu_ok) - rhs
+    resid[~np.isfinite(resid)] = np.nan
+    return resid, mu, sigma
 
 
 def fit_full_ml(
@@ -344,22 +401,28 @@ def fit_full_ml(
     so only the remaining scalar equation in p needs bracketing. Candidate
     powers where the profile shape estimate is infeasible are skipped and
     counted; no sign change among feasible grid points raises.
+
+    The grid is evaluated in blocks of _GRID_BLOCK_VALUES // n powers, one
+    _pointwise_terms pass per block, and each secant step is a block of one
+    power. Every operation is elementwise and the means sum in an order
+    that does not depend on the block, so each grid point and step has the
+    bits of profile_mu and profile_sigma at its own power.
     """
     p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
     if not (0.0 < p_lo < p_hi and np.isfinite(p_hi)):
         raise DomainError("power bracket must satisfy 0 < lo < hi")
+    _require_spread(sample, "closed-form mu")
+    y = sample.values
     grid = np.geomspace(p_lo, p_hi, 41)
-    residuals = []
-    infeasible = 0
-    for p in grid:
-        resid, mu_p, sigma_p = _power_residual(sample, g, float(p))
-        if resid is None:
-            infeasible += 1
-        residuals.append((float(p), resid, mu_p, sigma_p))
+    size = max(1, _GRID_BLOCK_VALUES // y.size)
+    blocks = [_power_residuals(y, g, grid[i : i + size]) for i in range(0, grid.size, size)]
+    resid, mu, sigma = (np.concatenate(col) for col in zip(*blocks))
+    infeasible = int(np.isnan(resid).sum())
+    residuals = list(zip(grid.tolist(), resid.tolist(), mu.tolist(), sigma.tolist()))
 
     found = None
     for (pa, fa, mua, siga), (pb, fb, mub, sigb) in zip(residuals, residuals[1:]):
-        if fa is None or fb is None:
+        if np.isnan(fa) or np.isnan(fb):
             continue
         if fa == 0.0:
             return FullMlFit(mua, siga, pa, 0, 0.0, (p_lo, p_hi), infeasible)
@@ -375,6 +438,9 @@ def fit_full_ml(
             f"({infeasible} of {grid.size} grid points infeasible)"
         )
 
+    def residual_at(p):
+        return (float(v[0]) for v in _power_residuals(y, g, np.array([p])))
+
     pa, fa, pb, fb = found
     best = None
     for k in range(200):
@@ -383,12 +449,12 @@ def fit_full_ml(
         width = pb - pa
         if not (pa + 0.1 * width < mid < pb - 0.1 * width):
             mid = 0.5 * (pa + pb)
-        resid, mu_m, sigma_m = _power_residual(sample, g, mid)
-        if resid is None:
+        resid, mu_m, sigma_m = residual_at(mid)
+        if np.isnan(resid):
             # infeasible interior point: fall back to plain bisection steps
             mid = 0.5 * (pa + pb)
-            resid, mu_m, sigma_m = _power_residual(sample, g, mid)
-            if resid is None:
+            resid, mu_m, sigma_m = residual_at(mid)
+            if np.isnan(resid):
                 raise ConvergenceError(
                     "power equation became infeasible inside the bracket"
                 )

@@ -88,7 +88,10 @@ def log_gamma(x):
 
     Arguments below 12 are lifted with lnGamma(x) = lnGamma(x+1) - ln(x);
     the Stirling series with seven Bernoulli terms evaluates the lifted value
-    (truncation error < 1e-17 at the x=12 cutoff).
+    (truncation error < 1e-17 at the x=12 cutoff). The lift runs in place, as
+    _digamma's does: an entry that needs no more lifting adds 0.0 to its
+    shift and to its argument, which is exact (its ln w is finite), so each
+    entry has the bits of the masked update.
     """
     arr = positive_array(x, "log_gamma argument")
     w = arr.copy()
@@ -97,8 +100,8 @@ def log_gamma(x):
         mask = w < 12.0
         if not mask.any():
             break
-        shift[mask] += np.log(w[mask])
-        w[mask] += 1.0
+        shift += mask * np.log(w)
+        w += mask
     with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
         t = 1.0 / (w * w)
     series = _STIRLING[-1]

@@ -8,11 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamgen import (
+    ConvergenceError,
     DegenerateSampleError,
     DomainError,
     FamilyParams,
+    FullMlFit,
+    GamgenError,
     InvalidSampleError,
     NoRootInBracketError,
+    OverflowInValue,
     RngStream,
     Sample,
     digamma,
@@ -32,7 +36,7 @@ from gamgen import (
     score_vector,
 )
 from gamgen import estimators
-from gamgen.estimators import _solve_mu_ml_array
+from gamgen.estimators import _mean_last, _solve_mu_ml_array
 
 from conftest import POWER_LAW_SWEEP, random_param_points, sweep_ids
 
@@ -150,7 +154,7 @@ def _separate_pass_solve_mu_ml(h):
             break
         hi[bad] *= 4.0
         fhi[bad] = f_at(hi[bad], bad)
-    bracketed = ~(flo < 0.0) & ~(fhi > 0.0)
+    bracketed = (flo >= 0.0) & (fhi <= 0.0)
     bracket0 = (lo.copy(), hi.copy())
     m = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
     fm = f(m)
@@ -222,6 +226,14 @@ def test_solver_starts_from_mu0():
         _, _, _, (lo, hi), _ = _solve_mu_ml_array(h)
         clipped = np.clip(mu0, lo * 1.0000000001, hi * 0.9999999999)
     assert np.array_equal(clipped, mu0, equal_nan=True)
+
+
+def test_solver_does_not_converge_where_mu0_overflows():
+    # 12 h overflows (mu0 = inf / inf = NaN) or mu0 itself does: no bracket
+    with np.errstate(all="ignore"):
+        root, _, _, _, converged = _solve_mu_ml_array(np.array([1e308, 1.5e307, 5e-324]))
+    assert not converged.any()
+    assert not np.isfinite(root).any()
 
 
 def _count_passes(monkeypatch, fn, h):
@@ -392,6 +404,183 @@ def test_fit_full_ml_errors():
     y = draw(200, FamilyParams(2.0, 1.0), GAMMA, RngStream(59, 2))
     with pytest.raises(NoRootInBracketError):
         fit_full_ml(Sample(y), GAMMA, p_bracket=(6.0, 18.0))
+
+
+TOTAL_UNDERFLOWS = "sum of generator values is not finite and positive"
+
+
+@pytest.mark.parametrize("name", ["nakagami", "rayleigh", "maxwell-boltzmann"])
+def test_profile_mu_names_a_mean_t_that_underflows(name):
+    # T(y) ~ y^2 underflows to 0 while ln T stays finite, so mean T is 0
+    g = make_generator(name)
+    tiny = Sample([1e-200, 2e-200, 3e-200])
+    with pytest.raises(OverflowInValue, match=TOTAL_UNDERFLOWS):
+        estimate_mu_closed(tiny, g)
+    with pytest.raises(OverflowInValue, match=TOTAL_UNDERFLOWS):
+        profile_mu(Sample([1e-100, 2e-100, 3e-100]), g, 2.0)
+    with pytest.raises(OverflowInValue, match=TOTAL_UNDERFLOWS):
+        profile_sigma(tiny, g, 1.0)
+
+
+def test_fit_full_ml_counts_an_underflowing_mean_t_as_infeasible():
+    # mean T underflows at the two largest grid powers (this raised a raw
+    # ZeroDivisionError inside profile_mu)
+    y = Sample([7.638280601112359e-11, 6.995089083083437e-11, 1.5437081232380293e-09])
+    fit = fit_full_ml(y, make_generator("weibull", delta=2.0))
+    assert fit.infeasible_points == 2
+    assert math.isfinite(fit.mu) and math.isfinite(fit.sigma) and math.isfinite(fit.power)
+
+
+def _per_point_fit_full_ml(sample, g, p_bracket=(0.05, 20.0)):
+    # estimators.fit_full_ml with one profile_mu, one profile_sigma and one
+    # scalar digamma per power, on the grid and at every secant step
+    def residual(p):
+        try:
+            mu_p = profile_mu(sample, g, p)
+            sigma_p = profile_sigma(sample, g, p)
+        except (InvalidSampleError, OverflowInValue):
+            return None, None, None
+        rhs = -np.log(sigma_p) - float(estimators._means(sample, g, p)[1])
+        resid = float(np.log(mu_p) - digamma(mu_p) - rhs)
+        if not np.isfinite(resid):
+            return None, None, None
+        return resid, mu_p, sigma_p
+
+    p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
+    grid = np.geomspace(p_lo, p_hi, 41)
+    residuals = []
+    infeasible = 0
+    for p in grid:
+        resid, mu_p, sigma_p = residual(float(p))
+        if resid is None:
+            infeasible += 1
+        residuals.append((float(p), resid, mu_p, sigma_p))
+    found = None
+    for (pa, fa, mua, siga), (pb, fb, _, _) in zip(residuals, residuals[1:]):
+        if fa is None or fb is None:
+            continue
+        if fa == 0.0:
+            return FullMlFit(mua, siga, pa, 0, 0.0, (p_lo, p_hi), infeasible)
+        if fa * fb < 0.0:
+            found = (pa, fa, pb, fb)
+            break
+    if found is None:
+        last = residuals[-1]
+        if last[1] == 0.0:
+            return FullMlFit(last[2], last[3], last[0], 0, 0.0, (p_lo, p_hi), infeasible)
+        raise NoRootInBracketError(
+            f"no sign change of the power equation inside [{p_lo:g}, {p_hi:g}] "
+            f"({infeasible} of {grid.size} grid points infeasible)"
+        )
+    pa, fa, pb, fb = found
+    best = None
+    for k in range(200):
+        mid = pa - fa * (pb - pa) / (fb - fa)
+        width = pb - pa
+        if not (pa + 0.1 * width < mid < pb - 0.1 * width):
+            mid = 0.5 * (pa + pb)
+        resid, mu_m, sigma_m = residual(mid)
+        if resid is None:
+            mid = 0.5 * (pa + pb)
+            resid, mu_m, sigma_m = residual(mid)
+            if resid is None:
+                raise ConvergenceError("power equation became infeasible inside the bracket")
+        best = (mu_m, sigma_m, mid, k + 1, resid)
+        if abs(resid) <= 1e-10 or (pb - pa) <= 1e-13 * max(1.0, pa):
+            break
+        if np.sign(resid) == np.sign(fa):
+            pa, fa = mid, resid
+        else:
+            pb, fb = mid, resid
+    mu_m, sigma_m, p_m, iters, resid = best
+    return FullMlFit(mu_m, sigma_m, p_m, iters, resid, (p_lo, p_hi), infeasible)
+
+
+def _fit_outcome(fit, y, g, bracket):
+    try:
+        return fit(Sample(y), g, bracket)
+    except GamgenError as e:
+        return type(e).__name__, str(e)
+
+
+FULL_ML_GENERATORS = [
+    ("gamma", {}),
+    ("nakagami", {}),
+    ("inverse-gamma", {}),
+    ("weibull", {"delta": 2.0}),
+    ("generalized-gamma", {"delta": 2.0}),
+    ("flexible-weibull", {"b": 1.0, "c": 0.5}),
+]
+FULL_ML_POINTS = [(0.2, 1e4, 0.3), (1.0, 1.2, 1.5), (3.0, 1e-6, 4.0)]
+# the default bracket, one whose grid ends at the powers numpy raises to on
+# fast paths (0.5 and 2.0), and a wide one with infeasible ends
+FULL_ML_BRACKETS = [(0.05, 20.0), (0.5, 2.0), (0.01, 100.0)]
+
+
+@pytest.mark.parametrize("n", [3, 15, 100, 1000, 10_000])
+def test_pointwise_terms_at_a_column_of_powers_keep_the_bits_of_each_power(n):
+    # numpy raises to 0.5 and 2.0 on fast paths (sqrt, y * y) for a scalar
+    # power only; each row of a column must still match its scalar power,
+    # and so must the mean of each (k, n) term match that of the (6, n) rows
+    powers = np.concatenate([np.geomspace(0.5, 2.0, 41), np.geomspace(0.05, 3.0, 41)])
+    y = np.random.default_rng(n).uniform(1e-3, 3.0, n)
+    for name, shapes in FULL_ML_GENERATORS:
+        g = make_generator(name, **shapes)
+        terms = estimators._pointwise_terms(g, y, powers[:, None])
+        rows = np.stack(np.broadcast_arrays(*terms))
+        assert rows.shape == (6, powers.size, n)
+        means = np.stack([_mean_last(np.broadcast_to(t, rows.shape[1:])) for t in terms])
+        for i, p in enumerate(powers.tolist()):
+            want = estimators._pointwise(g, y, p)
+            assert np.array_equal(rows[:, i], want, equal_nan=True), (name, p)
+            assert np.array_equal(means[:, i], _mean_last(want), equal_nan=True), (name, p)
+
+
+@pytest.mark.parametrize("n", [3, 20, 1000, 15_001])
+def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(n):
+    kinds = []
+    for gi, (name, shapes) in enumerate(FULL_ML_GENERATORS):
+        g = make_generator(name, **shapes)
+        for pi, (mu, sigma, p) in enumerate(FULL_ML_POINTS):
+            if n > 1000 and pi != 1:
+                continue
+            try:
+                y = draw(n, FamilyParams(mu, sigma, p), g, RngStream(61, 10 * gi + pi))
+            except GamgenError:
+                continue
+            for bracket in FULL_ML_BRACKETS:
+                got = _fit_outcome(fit_full_ml, y, g, bracket)
+                want = _fit_outcome(_per_point_fit_full_ml, y, g, bracket)
+                assert got == want, (name, mu, sigma, p, bracket)
+                if isinstance(got, FullMlFit):
+                    kinds.append("infeasible" if got.infeasible_points else "fit")
+                else:
+                    kinds.append(got[0])
+    if n == 3:
+        # the grids cross infeasible points, and some have no sign change
+        assert {"fit", "infeasible", "NoRootInBracketError"} <= set(kinds)
+    assert "fit" in kinds
+
+
+@pytest.mark.parametrize("n", [20, 1000, 2_000, 15_001])
+def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n):
+    y = draw(n, FamilyParams(2.0, 1.0, 1.5), GAMMA, RngStream(67, 0))
+    passes = []
+
+    def counting(g, y, p=1.0):
+        passes.append(np.size(p))
+        return terms(g, y, p)
+
+    terms = estimators._pointwise_terms
+    monkeypatch.setattr(estimators, "_pointwise_terms", counting)
+    fit = fit_full_ml(Sample(y), GAMMA)
+    monkeypatch.undo()
+    assert fit.infeasible_points == 0 and fit.iterations >= 3
+    # every (k, n) array of a grid pass stays below glibc's 64 KiB trim check
+    assert estimators._GRID_BLOCK_VALUES * 8 < 64 * 1024
+    blocks = math.ceil(41 / max(1, estimators._GRID_BLOCK_VALUES // n))
+    assert len(passes) == blocks + fit.iterations
+    assert sum(passes[:blocks]) == 41 and passes[blocks:] == [1] * fit.iterations
 
 
 def test_fit_new_log_generalized_gamma():
