@@ -232,13 +232,13 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     """
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not (0.0 < arr.item() < 1.0 if arr.size == 1 else np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("quantile level must lie strictly between 0 and 1")
     mu, sigma, p = params.mu, params.sigma, params.power
     on_q = upper != (g.monotonicity == "decreasing")
     z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)
-    with np.errstate(over="ignore"):
-        t = z / (mu * sigma)
+    with np.errstate(over="ignore", divide="ignore"):  # mu sigma may overflow or underflow to 0
+        t = np.divide(z, mu * sigma)
     if not np.all((t > 0.0) & (t < np.inf)):
         raise OverflowInValue("gamma root over mu sigma left the positive float64 range")
     x = inverse_of(g, t)

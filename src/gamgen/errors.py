@@ -97,8 +97,12 @@ class DataError(GamgenError, ValueError):
 
 
 def positive_array(x, what: str, error: type = DomainError) -> np.ndarray:
-    """x as a float64 array; ``error`` unless every entry is finite and > 0."""
+    """x as a float64 array; ``error`` unless every entry is finite and > 0.
+
+    One entry is tested as a Python float, which skips numpy's per-call cost.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
+    if not (0.0 < arr.item() < np.inf if arr.size == 1
+            else np.all(np.isfinite(arr)) and np.all(arr > 0.0)):
         raise error(f"{what} must be finite and > 0")
     return arr

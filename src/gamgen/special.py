@@ -9,6 +9,13 @@ start, then Halley steps on the smaller tail probability, stopping on a
 relative step in x); and gamma variate generation via the Marsaglia-Tsang
 squeeze method. Randomness comes from ``RngStream``, a counter-based stream
 fully determined by (seed, stream_id).
+
+log_gamma, the incomplete gamma pair and its inverses take one entry in
+Python floats and larger inputs in arrays. The float form runs the array
+form's steps: + - * / and comparisons on Python floats, which round as
+numpy's elementwise loops do, and every transcendental through its numpy
+ufunc on a scalar, which runs the array loop; so a one-entry call has the
+bits of its entry in an array call, without numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -91,9 +98,17 @@ def log_gamma(x):
     (truncation error < 1e-17 at the x=12 cutoff). The lift runs in place, as
     _digamma's does: an entry that needs no more lifting adds 0.0 to its
     shift and to its argument, which is exact (its ln w is finite), so each
-    entry has the bits of the masked update.
+    entry has the bits of the masked update. One entry lifts a Python float.
     """
     arr = positive_array(x, "log_gamma argument")
+    if arr.size == 1:
+        w = arr.item()
+        shift = 0.0
+        while w < 12.0:
+            shift += np.log(w)
+            w += 1.0
+        out = float(_stirling(w, 1.0 / (w * w), shift))
+        return out if arr.ndim == 0 else np.full(arr.shape, out)
     w = arr.copy()
     shift = np.zeros_like(w)
     for _ in range(12):
@@ -104,11 +119,15 @@ def log_gamma(x):
         w += mask
     with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
         t = 1.0 / (w * w)
+    return _stirling(w, t, shift)
+
+
+def _stirling(w, t, shift):
+    """ln Gamma(w) - shift by the Stirling series, for w >= 12 and t = 1/w^2."""
     series = _STIRLING[-1]
     for coef in _STIRLING[-2::-1]:
         series = coef + t * series
-    out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift
-    return float(out) if arr.ndim == 0 else out
+    return (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift
 
 
 def digamma(x):
@@ -151,7 +170,8 @@ _SERIES_MAX = 10000  # terms of either incomplete-gamma expansion
 
 
 def _lower_series(a, x, log_prefactor):
-    """P(a,x) for 0 < x < a+1 by the regularized power series.
+    """P(a,x) for 0 < x < a+1 by the regularized power series, for floats or
+    arrays.
 
     Every entry takes every term, in place, and the stop test runs once every
     8 terms, after terms 7, 15, ..., 9999: all entries are done once each
@@ -161,16 +181,19 @@ def _lower_series(a, x, log_prefactor):
     rounds back to the same total. An entry that needs 10 000 terms or more
     raises ConvergenceError.
     """
-    total = np.full_like(x, 1.0) / a
-    term = total.copy()
-    ap = a.astype(np.float64)
+    one = isinstance(x, float)
+    total = 1.0 / a
+    term = 1.0 / a
+    ap = a + 1.0
     for n in range(_SERIES_MAX):
-        if n % 8 == 7 and not (np.abs(term) >= np.abs(total) * 1e-17).any():
-            break
-        ap += 1.0
+        if n % 8 == 7:
+            going = abs(term) >= abs(total) * 1e-17
+            if not (going if one else going.any()):
+                break
         term *= x
         term /= ap
         total += term
+        ap += 1.0
     else:
         raise ConvergenceError("incomplete gamma series did not converge")
     return total * np.exp(log_prefactor)
@@ -183,10 +206,28 @@ def _upper_cf(a, x, log_prefactor):
     stops after the step whose factor delta is within 1e-16 of 1 (or is
     nan), and its h is written back then. Each entry's arithmetic is that of
     the whole-array recurrence, so every h keeps its bits. An entry that
-    needs 9 999 steps or more raises ConvergenceError.
+    needs 9 999 steps or more raises ConvergenceError. A float takes the
+    same steps, with the same stop.
     """
     tiny = 1e-300
     b = x + 1.0 - a
+    if isinstance(x, float):
+        c = 1.0 / tiny
+        d = 1.0 / (tiny if abs(b) < tiny else b)
+        h = d
+        for i in range(1, _SERIES_MAX - 1):
+            an = -i * (i - a)
+            b = b + 2.0
+            d = an * d + b
+            d = tiny if abs(d) < tiny else d
+            c = b + an / c
+            c = tiny if abs(c) < tiny else c
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+            if not abs(delta - 1.0) >= 1e-16:
+                return np.exp(log_prefactor) * h
+        raise ConvergenceError("incomplete gamma continued fraction did not converge")
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
     h = d
@@ -228,7 +269,8 @@ _SMALL_A = 0.1  # below this shape, Q is taken directly where it is the smaller 
 
 
 def _upper_small_a(a, x):
-    """Q(a, x) for a < 0.1 and x < a+1 (DiDonato & Morris, 1986).
+    """Q(a, x) for a < 0.1 and x < a+1 (DiDonato & Morris, 1986), for floats
+    or arrays.
 
     Q = -expm1(u) - a (1 + expm1(u)) sum_{k>=1} (-x)^k / (k! (a + k)) with
     u = a ln x - ln Gamma(1 + a), and ln Gamma(1 + a) from its Taylor series,
@@ -238,8 +280,8 @@ def _upper_small_a(a, x):
     for coef in _LGAMMA1P[-2::-1]:
         c = coef + a * c
     e = np.expm1(a * (np.log(x) - c))  # c = ln Gamma(1 + a) / a
-    term = np.ones_like(x)
-    total = np.zeros_like(x)
+    term = 1.0
+    total = 0.0
     for k in range(1, 23):  # x < 1.1, so x^22 / 22! is below 1e-20
         term = term * -x / k
         total = total + term / (a + k)
@@ -252,9 +294,20 @@ def _gamma_pq(a, x, lg_a):
     The power series gives P on x < a+1 and the continued fraction gives Q
     elsewhere, each to relative machine precision; the other one is its
     complement, except that for a < 0.1, where Q is already the smaller tail
-    below a+1, Q comes from its own series there. Arguments broadcast and the
-    results are arrays.
+    below a+1, Q comes from its own series there. Python floats give floats;
+    otherwise the arguments broadcast and the results are arrays.
     """
+    if isinstance(x, float):
+        if x == 0.0:
+            return 0.0, 1.0
+        log_pref = a * np.log(x) - x - lg_a
+        if x < a + 1.0:
+            p = float(_lower_series(a, x, log_pref))
+            q = float(_upper_small_a(a, x)) if a < _SMALL_A and p > 0.5 else 1.0 - p
+        else:
+            q = float(_upper_cf(a, x, log_pref))
+            p = 1.0 - q
+        return _clip01(p), _clip01(q)
     a, x, lg_a = np.broadcast_arrays(a, x, lg_a)
     p = np.zeros(x.shape)
     q = np.ones(x.shape)
@@ -276,14 +329,24 @@ def _gamma_pq(a, x, lg_a):
     return p, q
 
 
+def _clip01(v: float) -> float:
+    """np.clip(v, 0.0, 1.0) for a float: a nan stays nan."""
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
 def _incomplete_gamma(a, x, name: str):
-    """Validated (P, Q, scalar_flag) for the public incomplete gamma pair."""
+    """Validated (P, Q) for the public incomplete gamma pair: floats when a
+    and x are scalars, else arrays of their broadcast shape."""
     a_arr = positive_array(a, f"{name} shape a")
     x_arr = np.asarray(x, dtype=np.float64)
     if x_arr.size and (not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0)):
         raise DomainError(f"{name} requires x >= 0")
-    p, q = _gamma_pq(a_arr, x_arr, log_gamma(a_arr))
-    return p, q, a_arr.ndim == 0 and x_arr.ndim == 0
+    if a_arr.size == 1 and x_arr.size == 1:
+        a1 = a_arr.item()
+        p, q = _gamma_pq(a1, x_arr.item(), log_gamma(a1))
+        shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
+        return (np.full(shape, p), np.full(shape, q)) if shape else (p, q)
+    return _gamma_pq(a_arr, x_arr, log_gamma(a_arr))
 
 
 def reg_lower_gamma(a, x):
@@ -292,8 +355,7 @@ def reg_lower_gamma(a, x):
     Power series on x < a+1, continued fraction for the complement elsewhere,
     both driven to relative machine tolerance.
     """
-    p, _, scalar = _incomplete_gamma(a, x, "reg_lower_gamma")
-    return float(p) if scalar else p
+    return _incomplete_gamma(a, x, "reg_lower_gamma")[0]
 
 
 def reg_upper_gamma(a, x):
@@ -302,8 +364,7 @@ def reg_upper_gamma(a, x):
     On x >= a+1 Q comes straight from the continued fraction, so it keeps its
     relative accuracy deep into the upper tail where 1 - P would round to 0.
     """
-    _, q, scalar = _incomplete_gamma(a, x, "reg_upper_gamma")
-    return float(q) if scalar else q
+    return _incomplete_gamma(a, x, "reg_upper_gamma")[1]
 
 
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -317,19 +378,28 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00
 
 
 def _norm_ppf(p):
-    """Standard normal quantile for 0 < p <= 1/2, elementwise (Acklam's
-    rational approximation, ~1e-9 relative)."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    """Standard normal quantile for 0 < p <= 1/2, for a float or elementwise
+    (Acklam's rational approximation, ~1e-9 relative)."""
     plow = 0.02425
+    if isinstance(p, float):
+        return float(_acklam_tail(p) if p < plow else _acklam_mid(p))
     tail = p < plow
-    q = np.sqrt(-2.0 * np.log(np.where(tail, p, plow)))
-    z_tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    return np.where(tail, _acklam_tail(np.where(tail, p, plow)), _acklam_mid(p))
+
+
+def _acklam_tail(p):
+    c, d = _ACKLAM_C, _ACKLAM_D
+    q = np.sqrt(-2.0 * np.log(p))
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def _acklam_mid(p):
+    a, b = _ACKLAM_A, _ACKLAM_B
     q = p - 0.5
     r = q * q
-    z_mid = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    return np.where(tail, z_tail, z_mid)
+    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
@@ -350,22 +420,26 @@ def _inv_gamma(a, target, upper: bool):
     where f is many orders of magnitude off r. Every evaluation narrows a
     bracket on the root; a step moves x by at most a factor 16, and one that
     leaves the bracket (or is lost to underflow of f) bisects ln x instead.
-    A level stops after a Halley step of relative size <= 1e-6.
+    A level stops after a Halley step of relative size <= 1e-6. One level
+    is solved in Python floats (_inv_gamma_one), with the same bits.
     """
-    a = float(a)
     name = "inv_reg_upper_gamma" if upper else "inv_reg_lower_gamma"
-    if not (np.isfinite(a) and a > 0.0):
-        raise DomainError(f"{name} requires a > 0")
+    a_arr = positive_array(a, f"{name} shape a")
+    if a_arr.size != 1:
+        raise DomainError(f"{name} takes one shape a, not {a_arr.size}")
+    a = a_arr.item()
     t = np.asarray(target, dtype=np.float64)
-    if np.any(~(t > 0.0)) or np.any(~(t < 1.0)):
+    if not (0.0 < t.item() < 1.0 if t.size == 1 else np.all(t > 0.0) and np.all(t < 1.0)):
         raise DomainError(f"{name} requires 0 < level < 1")
+    lg_a = log_gamma(a)
+    if t.size == 1:
+        x = _inv_gamma_one(a, lg_a, t.item(), upper, name)
+        return x if t.ndim == 0 else np.full(t.shape, x)
     shape = t.shape
     t = t.reshape(-1)
     on_q = (t > 0.5) != upper  # solve on Q rather than P
     r = np.where(t > 0.5, 1.0 - t, t)
     sgn = np.where(on_q, -1.0, 1.0)  # sign of df/dx
-
-    lg_a = log_gamma(a)
     log_u = np.where(on_q, np.log1p(-r), np.log(r))  # ln P at the root
     log_xs = (log_u + lg_a + np.log(a)) / a
     if np.any(log_xs < _LOG_TINY):
@@ -403,7 +477,59 @@ def _inv_gamma(a, target, upper: bool):
         active = active[~(inside & (np.abs(step) <= _HALLEY_STOP * x_new))]
     else:
         raise ConvergenceError(f"{name} did not converge")
-    return float(x[0]) if not shape else x.reshape(shape)
+    return x.reshape(shape)
+
+
+def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> float:
+    """_inv_gamma for one level, step for step in Python floats.
+
+    Python's min, max and division differ from numpy's at nan and at a zero
+    divisor, so the minimum, the clamp and the bracket test are written to
+    keep a nan as numpy does, and a division by a possible zero goes through
+    _divide.
+    """
+    on_q = (t > 0.5) != upper
+    r = 1.0 - t if t > 0.5 else t
+    sgn = -1.0 if on_q else 1.0
+    log_u = np.log1p(-r) if on_q else np.log(r)
+    log_xs = float((log_u + lg_a + np.log(a)) / a)
+    if log_xs < _LOG_TINY:
+        raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
+    z = sgn * _norm_ppf(r)
+    wh = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * float(np.sqrt(a)))
+    x = max(float(np.exp(log_xs)), a * float(np.power(wh if wh > 0.0 else 0.0, 3)))
+
+    lo, hi = 0.0, np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_HALLEY_MAX):
+            p, q = _gamma_pq(a, x, lg_a)
+            f = q if on_q else p
+            g = float(np.log(f / r))
+            w = float(np.exp((a - 1.0) * np.log(x) - x - lg_a - np.log(f)))
+            h = _divide(sgn * g, w)
+            curv = _divide(a - 1.0, x) - 1.0 - sgn * w
+            m = h * curv
+            step = h / (1.0 - 0.5 * (1.0 if m > 1.0 else m))
+            x_new = x - step
+            lo_c, hi_c = x / _HALLEY_CLAMP, x * _HALLEY_CLAMP
+            x_new = lo_c if x_new < lo_c else hi_c if x_new > hi_c else x_new
+            if sgn * g > 0.0:  # x lies above the root
+                hi = x
+            else:
+                lo = x
+            inside = lo <= x_new <= hi  # false for a nan step
+            if not inside:
+                x_new = lo * _HALLEY_CLAMP if hi == np.inf else (
+                    float(np.sqrt(lo)) * float(np.sqrt(hi)) if lo > 0.0 else hi / _HALLEY_CLAMP)
+            x = x_new
+            if inside and abs(step) <= _HALLEY_STOP * x:
+                return x
+    raise ConvergenceError(f"{name} did not converge")
+
+
+def _divide(n: float, d: float) -> float:
+    """n / d with numpy's inf or nan where d is 0 (Python would raise)."""
+    return n / d if d else float(np.divide(n, d))
 
 
 def inv_reg_lower_gamma(a: float, u):
@@ -413,9 +539,11 @@ def inv_reg_lower_gamma(a: float, u):
     so both tails keep ~1e-14 relative accuracy in x. Start: Wilson-Hilferty
     or the small-x series x = (u Gamma(a+1))^(1/a), whichever is larger;
     then Halley steps on the log of the tail-probability ratio, stopping
-    on a relative step in x of 1e-6. One log-gamma per call; an array of
-    levels gives the same bits as one call per level. A solution below the
-    float64 normal range raises OverflowInValue.
+    on a relative step in x of 1e-6. One log-gamma per call. One level is
+    solved in Python floats and more in arrays, and an array of levels gives
+    the same bits as one call per level. A solution below the float64 normal
+    range raises OverflowInValue; a shape a that is not one positive finite
+    value raises DomainError.
     """
     return _inv_gamma(a, u, upper=False)
 

@@ -102,6 +102,26 @@ def test_cdf_quantile_round_trip(name, shapes):
         assert abs(cdf(1.3, params, g) + sf(1.3, params, g) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))
+def test_one_level_quantile_has_the_bits_of_a_two_level_call(name, shapes):
+    # one level runs the incomplete-gamma inverse in Python floats, two run it
+    # in arrays; the result is the same, as a float or a 1-entry array
+    g = make_generator(name, **shapes)
+    cases = [(FamilyParams(0.5, 1.0), (0.01, 0.3, 0.5, 0.9, 0.99)),
+             (FamilyParams(3.0, 1.2), (0.01, 0.3, 0.5, 0.9, 0.99))]
+    if name == "gamma":  # the benchmark's tail probes
+        cases.append((FamilyParams(3.0, 1.0), (1e-300, 1e-12, 1.0 - 1e-12)))
+    for params, levels in cases:
+        for fn in (quantile, isf):
+            for u in levels:
+                pair = fn(np.array([u, 0.5]), params, g)
+                alone = fn(u, params, g)
+                one = fn(np.array([u]), params, g)
+                assert type(alone) is float and alone == pair[0], (fn.__name__, params, u)
+                assert type(one) is np.ndarray and one.shape == (1,)
+                assert one[0] == pair[0]
+
+
 def test_tail_accuracy_against_scipy():
     ig = make_generator("inverse-gamma")
     law = scipy.stats.gamma(3.0, scale=1.0 / 3.0)  # T(Y) = 1/Y for (mu, sigma) = (3, 1)
@@ -176,6 +196,11 @@ def test_quantile_underflow_of_the_scaled_root_is_an_overflow_error():
     with pytest.raises(OverflowInValue):
         quantile(1e-300, params, g)
     assert isf(1.0 - 1e-16, params, g) == 1.110223e-316
+    # mu sigma = 0.4 * 5e-324 rounds to 0, so the root over it is inf: the
+    # same named error for one level and for several
+    for u in (0.5, [0.5, 0.6]):
+        with pytest.raises(OverflowInValue):
+            quantile(u, FamilyParams(0.4, 5e-324), g)
 
 
 @pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))

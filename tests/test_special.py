@@ -82,6 +82,10 @@ def test_log_gamma_in_place_lift_keeps_its_bits(case):
     got = log_gamma(x)
     assert np.array_equal(got, _masked_lift_log_gamma(x))
     assert np.array_equal(x, before)
+    # one entry runs in Python floats, with the array's bits
+    picks = np.random.default_rng(7).choice(x.size, size=min(x.size, 2000), replace=False)
+    alone = np.array([log_gamma(float(x.flat[i])) for i in picks])
+    assert np.array_equal(alone, np.ravel(got)[picks])
 
 
 def test_large_arguments_return_without_overflow_warning():
@@ -232,7 +236,16 @@ def test_inv_incomplete_gamma_against_mpmath():
             assert abs(ours - root) <= 1e-13 * root, (a, level, ours, root)
 
 
+def _solve_or_error(inverse, a, levels):
+    try:
+        return inverse(a, levels)
+    except (ConvergenceError, OverflowInValue) as exc:
+        return type(exc)
+
+
 def test_inv_incomplete_gamma_array_equals_per_element_calls():
+    # one level is solved in Python floats, more in arrays: each single call
+    # gives the bits of its array entry, or raises the same error
     levels = np.array(INV_LEVELS).reshape(3, 4)
     for a in (1.0, 3.0, 300.0):
         for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
@@ -241,6 +254,18 @@ def test_inv_incomplete_gamma_array_equals_per_element_calls():
             single = np.array([inverse(a, float(v)) for v in levels.ravel()])
             assert np.array_equal(whole.ravel(), single)
             assert isinstance(inverse(a, 0.5), float)
+            assert np.array_equal(inverse(a, np.array([0.3])), [inverse(a, 0.3)])
+    rng = np.random.default_rng(20261019)
+    sweep = np.concatenate([INV_LEVELS, 10.0 ** rng.uniform(-300.0, -0.31, 40),
+                            1.0 - 10.0 ** rng.uniform(-16.0, -0.31, 40)])
+    for a in (1e-3, 0.05, 0.09, 0.5, 1.0, 3.0, 300.0, 1e4, 1e5):
+        for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
+            single = [_solve_or_error(inverse, a, float(v)) for v in sweep]
+            solved = np.array([type(x) is float for x in single])
+            whole = inverse(a, sweep[solved])
+            assert np.array_equal(whole, [x for x in single if type(x) is float])
+            for v, x in zip(sweep[~solved], np.array(single, dtype=object)[~solved]):
+                assert _solve_or_error(inverse, a, np.array([v, v])) is x, (a, v)
 
 
 def test_inv_incomplete_gamma_below_normal_range_raises():
@@ -362,6 +387,15 @@ def test_incomplete_gamma_kernels_keep_the_masked_bits(a):
     assert np.array_equal(special._lower_series(*args), _masked_lower_series(*args))
     args = _kernel_args(a, above)
     assert np.array_equal(special._upper_cf(*args), _masked_upper_cf(*args))
+    # one entry, x = 0 and the a < 0.1 direct-Q series included, runs in
+    # Python floats with the bits of the array path
+    xs = np.concatenate([[0.0], below, above])
+    for fn in (reg_lower_gamma, reg_upper_gamma):
+        whole = fn(a, xs)
+        alone = [fn(a, float(x)) for x in xs]
+        assert all(type(v) is float for v in alone)
+        assert np.array_equal(alone, whole)
+        assert np.array_equal(fn(np.array([a]), np.array([[xs[5]]])), [[whole[5]]])
 
 
 def test_incomplete_gamma_series_keeps_its_term_cap():
@@ -375,6 +409,12 @@ def test_incomplete_gamma_series_keeps_its_term_cap():
     for kernel in (special._lower_series, _masked_lower_series):
         with pytest.raises(ConvergenceError):
             kernel(*args)
+    # the float form keeps the same cap
+    args = _kernel_args(a, [a])
+    assert special._lower_series(*(float(v[0]) for v in args)) == _masked_lower_series(*args)[0]
+    args = _kernel_args(a, [np.nextafter(a + 1.0, 0.0)])
+    with pytest.raises(ConvergenceError):
+        special._lower_series(*(float(v[0]) for v in args))
 
 
 def test_inv_reg_lower_gamma_domain():
@@ -383,6 +423,8 @@ def test_inv_reg_lower_gamma_domain():
             inv_reg_lower_gamma(2.0, bad)
     with pytest.raises(DomainError):
         inv_reg_lower_gamma(-1.0, 0.5)
+    with pytest.raises(DomainError):  # one shape per call
+        inv_reg_lower_gamma(np.array([1.0, 2.0]), 0.5)
     for bad in (0.0, 1.0, np.nan):
         with pytest.raises(DomainError):
             inv_reg_upper_gamma(2.0, bad)
