@@ -19,6 +19,7 @@ from .errors import (
     MomentDoesNotExistError,
     NonpositiveObservationError,
     OverflowInValue,
+    level_array,
     positive_array,
 )
 from .generators import Generator, LogPower, PowerLaw, inverse_of
@@ -230,10 +231,8 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     handed to the incomplete-gamma inverse of the matching tail, so no
     level is formed as 1 - u.
     """
-    arr = np.asarray(u, dtype=np.float64)
+    arr = level_array(u, "quantile level")
     scalar = arr.ndim == 0
-    if not (0.0 < arr.item() < 1.0 if arr.size == 1 else np.all(arr > 0.0) and np.all(arr < 1.0)):
-        raise DomainError("quantile level must lie strictly between 0 and 1")
     mu, sigma, p = params.mu, params.sigma, params.power
     on_q = upper != (g.monotonicity == "decreasing")
     z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)

@@ -97,12 +97,25 @@ class DataError(GamgenError, ValueError):
 
 
 def positive_array(x, what: str, error: type = DomainError) -> np.ndarray:
-    """x as a float64 array; ``error`` unless every entry is finite and > 0.
-
-    One entry is tested as a Python float, which skips numpy's per-call cost.
-    """
+    """x as a float64 array; ``error`` unless every entry is finite and > 0."""
     arr = np.asarray(x, dtype=np.float64)
-    if not (0.0 < arr.item() < np.inf if arr.size == 1
-            else np.all(np.isfinite(arr)) and np.all(arr > 0.0)):
+    if arr.size == 1:  # a Python float test skips numpy's per-call cost
+        bad = not 0.0 < arr.item() < np.inf
+    else:
+        bad = arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0))
+    if bad:
         raise error(f"{what} must be finite and > 0")
+    return arr
+
+
+def level_array(x, what: str) -> np.ndarray:
+    """x as a float64 array; DomainError unless every entry lies strictly
+    between 0 and 1 (a nan does not)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size == 1:  # a Python float test skips numpy's per-call cost
+        bad = not 0.0 < arr.item() < 1.0
+    else:
+        bad = np.any(~(arr > 0.0)) or np.any(~(arr < 1.0))
+    if bad:
+        raise DomainError(f"{what} must lie strictly between 0 and 1")
     return arr

@@ -4,25 +4,26 @@ Self-contained float64 implementations: log-gamma and digamma via argument
 lifting plus Bernoulli asymptotic series; the regularized incomplete gamma
 pair P and Q via one kernel that takes P from a power series below x = a+1
 and Q from a continued fraction above, so each is exact in its own tail; the
-inverses of both by one array solver (a Wilson-Hilferty or small-x series
-start, then Halley steps on the smaller tail probability, stopping on a
-relative step in x); and gamma variate generation via the Marsaglia-Tsang
-squeeze method. Randomness comes from ``RngStream``, a counter-based stream
-fully determined by (seed, stream_id).
+inverses of both by one solver (a Wilson-Hilferty or small-x series start,
+then Halley steps on the smaller tail probability, stopping on a relative
+step in x); and gamma variate generation via the Marsaglia-Tsang squeeze
+method. Randomness comes from ``RngStream``, a counter-based stream fully
+determined by (seed, stream_id).
 
-log_gamma, the incomplete gamma pair and its inverses take one entry in
-Python floats and larger inputs in arrays. The float form runs the array
-form's steps: + - * / and comparisons on Python floats, which round as
-numpy's elementwise loops do, and every transcendental through its numpy
-ufunc on a scalar, which runs the array loop; so a one-entry call has the
-bits of its entry in an array call, without numpy's per-call cost.
+log_gamma and the inverse solver take each entry in Python floats, and so
+does the incomplete gamma pair for one entry; its larger inputs run in
+arrays. The float form runs the array form's steps: + - * / and comparisons
+on Python floats, which round as numpy's elementwise loops do, and every
+transcendental through its numpy ufunc on a scalar, which runs the array
+loop; so a float has the bits of its entry in an array pass, without
+numpy's per-call cost.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, OverflowInValue, positive_array
+from .errors import ConvergenceError, DomainError, OverflowInValue, level_array, positive_array
 
 __all__ = [
     "RngStream",
@@ -95,39 +96,26 @@ def log_gamma(x):
 
     Arguments below 12 are lifted with lnGamma(x) = lnGamma(x+1) - ln(x);
     the Stirling series with seven Bernoulli terms evaluates the lifted value
-    (truncation error < 1e-17 at the x=12 cutoff). The lift runs in place, as
-    _digamma's does: an entry that needs no more lifting adds 0.0 to its
-    shift and to its argument, which is exact (its ln w is finite), so each
-    entry has the bits of the masked update. One entry lifts a Python float.
+    (truncation error < 1e-17 at the x=12 cutoff). Each entry is lifted and
+    summed in Python floats, with ln through numpy's ufunc on a scalar.
     """
     arr = positive_array(x, "log_gamma argument")
-    if arr.size == 1:
-        w = arr.item()
-        shift = 0.0
-        while w < 12.0:
-            shift += np.log(w)
-            w += 1.0
-        out = float(_stirling(w, 1.0 / (w * w), shift))
-        return out if arr.ndim == 0 else np.full(arr.shape, out)
-    w = arr.copy()
-    shift = np.zeros_like(w)
-    for _ in range(12):
-        mask = w < 12.0
-        if not mask.any():
-            break
-        shift += mask * np.log(w)
-        w += mask
-    with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
-        t = 1.0 / (w * w)
-    return _stirling(w, t, shift)
+    if arr.ndim == 0:
+        return _log_gamma_one(arr.item())
+    return np.array([_log_gamma_one(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
-def _stirling(w, t, shift):
-    """ln Gamma(w) - shift by the Stirling series, for w >= 12 and t = 1/w^2."""
+def _log_gamma_one(w: float) -> float:
+    """log_gamma of one float already known to be finite and > 0."""
+    shift = 0.0
+    while w < 12.0:
+        shift += np.log(w)
+        w += 1.0
+    t = 1.0 / (w * w)  # w * w overflows to inf above ~1e154: t = 0
     series = _STIRLING[-1]
     for coef in _STIRLING[-2::-1]:
         series = coef + t * series
-    return (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift
+    return float((w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift)
 
 
 def digamma(x):
@@ -377,24 +365,14 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00
              3.754408661907416e+00)
 
 
-def _norm_ppf(p):
-    """Standard normal quantile for 0 < p <= 1/2, for a float or elementwise
-    (Acklam's rational approximation, ~1e-9 relative)."""
-    plow = 0.02425
-    if isinstance(p, float):
-        return float(_acklam_tail(p) if p < plow else _acklam_mid(p))
-    tail = p < plow
-    return np.where(tail, _acklam_tail(np.where(tail, p, plow)), _acklam_mid(p))
-
-
-def _acklam_tail(p):
-    c, d = _ACKLAM_C, _ACKLAM_D
-    q = np.sqrt(-2.0 * np.log(p))
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-
-def _acklam_mid(p):
+def _norm_ppf(p: float) -> float:
+    """Standard normal quantile for 0 < p <= 1/2 (Acklam's rational
+    approximation, ~1e-9 relative)."""
+    if p < 0.02425:
+        c, d = _ACKLAM_C, _ACKLAM_D
+        q = np.sqrt(-2.0 * np.log(p))
+        return float((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
+                     ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p - 0.5
     r = q * q
@@ -411,7 +389,26 @@ _HALLEY_MAX = 100
 def _inv_gamma(a, target, upper: bool):
     """Solve P(a, x) = target, or Q(a, x) = target when ``upper``, for x.
 
-    Each level is solved on its smaller tail probability r <= 1/2, which is
+    Each level is solved on its own, in Python floats (_inv_gamma_one), with
+    one log-gamma per call; an array of levels is solved level by level.
+    """
+    name = "inv_reg_upper_gamma" if upper else "inv_reg_lower_gamma"
+    a_arr = positive_array(a, f"{name} shape a")
+    if a_arr.size != 1:
+        raise DomainError(f"{name} takes one shape a, not {a_arr.size}")
+    a = a_arr.item()
+    t = level_array(target, f"{name} level")
+    lg_a = log_gamma(a)
+    if t.ndim == 0:
+        return _inv_gamma_one(a, lg_a, t.item(), upper, name)
+    roots = [_inv_gamma_one(a, lg_a, v, upper, name) for v in t.ravel().tolist()]
+    return np.array(roots, dtype=np.float64).reshape(t.shape)
+
+
+def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> float:
+    """Solve for one level t, with lg_a = ln Gamma(a).
+
+    The level is solved on its smaller tail probability r <= 1/2, which is
     exact: the target itself or its complement. The start is the larger of
     Wilson-Hilferty and the small-x inversion of P < x^a / Gamma(a+1) (a
     lower bound, tight in the lower tail). Halley steps then drive
@@ -420,78 +417,20 @@ def _inv_gamma(a, target, upper: bool):
     where f is many orders of magnitude off r. Every evaluation narrows a
     bracket on the root; a step moves x by at most a factor 16, and one that
     leaves the bracket (or is lost to underflow of f) bisects ln x instead.
-    A level stops after a Halley step of relative size <= 1e-6. One level
-    is solved in Python floats (_inv_gamma_one), with the same bits.
+    The solve stops after a Halley step of relative size <= 1e-6, and raises
+    ConvergenceError if that takes more than 99 steps.
+
+    + - * / and comparisons run on Python floats and every transcendental
+    through its numpy ufunc on a scalar, so each step rounds as the same step
+    on a numpy array would. Python's min, max and division differ from numpy's
+    at nan and at a zero divisor, so the minimum, the clamp and the bracket
+    test are written to keep a nan as numpy does, and a division by a
+    possible zero goes through _divide.
     """
-    name = "inv_reg_upper_gamma" if upper else "inv_reg_lower_gamma"
-    a_arr = positive_array(a, f"{name} shape a")
-    if a_arr.size != 1:
-        raise DomainError(f"{name} takes one shape a, not {a_arr.size}")
-    a = a_arr.item()
-    t = np.asarray(target, dtype=np.float64)
-    if not (0.0 < t.item() < 1.0 if t.size == 1 else np.all(t > 0.0) and np.all(t < 1.0)):
-        raise DomainError(f"{name} requires 0 < level < 1")
-    lg_a = log_gamma(a)
-    if t.size == 1:
-        x = _inv_gamma_one(a, lg_a, t.item(), upper, name)
-        return x if t.ndim == 0 else np.full(t.shape, x)
-    shape = t.shape
-    t = t.reshape(-1)
     on_q = (t > 0.5) != upper  # solve on Q rather than P
-    r = np.where(t > 0.5, 1.0 - t, t)
-    sgn = np.where(on_q, -1.0, 1.0)  # sign of df/dx
-    log_u = np.where(on_q, np.log1p(-r), np.log(r))  # ln P at the root
-    log_xs = (log_u + lg_a + np.log(a)) / a
-    if np.any(log_xs < _LOG_TINY):
-        raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
-    z = sgn * _norm_ppf(r)
-    wh = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
-    x = np.maximum(np.exp(log_xs), a * np.maximum(wh, 0.0) ** 3)
-
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, np.inf)
-    active = np.arange(t.size)
-    for _ in range(_HALLEY_MAX):
-        if active.size == 0:
-            break
-        xa, ra, sa = x[active], r[active], sgn[active]
-        p, q = _gamma_pq(a, xa, lg_a)
-        f = np.where(sa < 0.0, q, p)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = np.log(f / ra)
-            w = np.exp((a - 1.0) * np.log(xa) - xa - lg_a - np.log(f))  # |g'|
-            h = sa * g / w
-            curv = (a - 1.0) / xa - 1.0 - sa * w  # g'' / g'
-            step = h / (1.0 - 0.5 * np.minimum(1.0, h * curv))
-            x_new = np.clip(xa - step, xa / _HALLEY_CLAMP, xa * _HALLEY_CLAMP)
-            above = sa * g > 0.0  # xa lies above the root
-            lo_a = np.where(above, lo[active], xa)
-            hi_a = np.where(above, xa, hi[active])
-            inside = (x_new >= lo_a) & (x_new <= hi_a)  # false for a nan step
-            # outside: bisect ln x, or move by the clamp factor while one side is open
-            bisect = np.where(np.isinf(hi_a), lo_a * _HALLEY_CLAMP, np.where(
-                lo_a > 0.0, np.sqrt(lo_a) * np.sqrt(hi_a), hi_a / _HALLEY_CLAMP))
-            x_new = np.where(inside, x_new, bisect)
-        lo[active], hi[active] = lo_a, hi_a
-        x[active] = x_new
-        active = active[~(inside & (np.abs(step) <= _HALLEY_STOP * x_new))]
-    else:
-        raise ConvergenceError(f"{name} did not converge")
-    return x.reshape(shape)
-
-
-def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> float:
-    """_inv_gamma for one level, step for step in Python floats.
-
-    Python's min, max and division differ from numpy's at nan and at a zero
-    divisor, so the minimum, the clamp and the bracket test are written to
-    keep a nan as numpy does, and a division by a possible zero goes through
-    _divide.
-    """
-    on_q = (t > 0.5) != upper
     r = 1.0 - t if t > 0.5 else t
-    sgn = -1.0 if on_q else 1.0
-    log_u = np.log1p(-r) if on_q else np.log(r)
+    sgn = -1.0 if on_q else 1.0  # sign of df/dx
+    log_u = np.log1p(-r) if on_q else np.log(r)  # ln P at the root
     log_xs = float((log_u + lg_a + np.log(a)) / a)
     if log_xs < _LOG_TINY:
         raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
@@ -500,30 +439,30 @@ def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> f
     x = max(float(np.exp(log_xs)), a * float(np.power(wh if wh > 0.0 else 0.0, 3)))
 
     lo, hi = 0.0, np.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_HALLEY_MAX):
-            p, q = _gamma_pq(a, x, lg_a)
-            f = q if on_q else p
+    for _ in range(_HALLEY_MAX - 1):
+        p, q = _gamma_pq(a, x, lg_a)
+        f = q if on_q else p
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = float(np.log(f / r))
-            w = float(np.exp((a - 1.0) * np.log(x) - x - lg_a - np.log(f)))
+            w = float(np.exp((a - 1.0) * np.log(x) - x - lg_a - np.log(f)))  # |g'|
             h = _divide(sgn * g, w)
-            curv = _divide(a - 1.0, x) - 1.0 - sgn * w
-            m = h * curv
-            step = h / (1.0 - 0.5 * (1.0 if m > 1.0 else m))
-            x_new = x - step
-            lo_c, hi_c = x / _HALLEY_CLAMP, x * _HALLEY_CLAMP
-            x_new = lo_c if x_new < lo_c else hi_c if x_new > hi_c else x_new
-            if sgn * g > 0.0:  # x lies above the root
-                hi = x
-            else:
-                lo = x
-            inside = lo <= x_new <= hi  # false for a nan step
-            if not inside:
-                x_new = lo * _HALLEY_CLAMP if hi == np.inf else (
-                    float(np.sqrt(lo)) * float(np.sqrt(hi)) if lo > 0.0 else hi / _HALLEY_CLAMP)
-            x = x_new
-            if inside and abs(step) <= _HALLEY_STOP * x:
-                return x
+            curv = _divide(a - 1.0, x) - 1.0 - sgn * w  # g'' / g'
+        m = h * curv
+        step = h / (1.0 - 0.5 * (1.0 if m > 1.0 else m))
+        x_new = x - step
+        lo_c, hi_c = x / _HALLEY_CLAMP, x * _HALLEY_CLAMP
+        x_new = lo_c if x_new < lo_c else hi_c if x_new > hi_c else x_new
+        if sgn * g > 0.0:  # x lies above the root
+            hi = x
+        else:
+            lo = x
+        inside = lo <= x_new <= hi  # false for a nan step
+        if not inside:  # bisect ln x, or move by the clamp factor while one side is open
+            x_new = lo * _HALLEY_CLAMP if hi == np.inf else (
+                float(np.sqrt(lo)) * float(np.sqrt(hi)) if lo > 0.0 else hi / _HALLEY_CLAMP)
+        x = x_new
+        if inside and abs(step) <= _HALLEY_STOP * x:
+            return x
     raise ConvergenceError(f"{name} did not converge")
 
 
@@ -539,11 +478,11 @@ def inv_reg_lower_gamma(a: float, u):
     so both tails keep ~1e-14 relative accuracy in x. Start: Wilson-Hilferty
     or the small-x series x = (u Gamma(a+1))^(1/a), whichever is larger;
     then Halley steps on the log of the tail-probability ratio, stopping
-    on a relative step in x of 1e-6. One log-gamma per call. One level is
-    solved in Python floats and more in arrays, and an array of levels gives
-    the same bits as one call per level. A solution below the float64 normal
-    range raises OverflowInValue; a shape a that is not one positive finite
-    value raises DomainError.
+    on a relative step in x of 1e-6. One log-gamma per call; an array of
+    levels is solved level by level, so each entry has the bits of one call
+    at its level. A solution below the float64 normal range raises
+    OverflowInValue; a shape a that is not one positive finite value raises
+    DomainError.
     """
     return _inv_gamma(a, u, upper=False)
 

@@ -104,8 +104,8 @@ def test_cdf_quantile_round_trip(name, shapes):
 
 @pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))
 def test_one_level_quantile_has_the_bits_of_a_two_level_call(name, shapes):
-    # one level runs the incomplete-gamma inverse in Python floats, two run it
-    # in arrays; the result is the same, as a float or a 1-entry array
+    # a level alone, as a float or as a 1-entry array, has the bits of that
+    # level in a 2-level call, and the return types are kept
     g = make_generator(name, **shapes)
     cases = [(FamilyParams(0.5, 1.0), (0.01, 0.3, 0.5, 0.9, 0.99)),
              (FamilyParams(3.0, 1.2), (0.01, 0.3, 0.5, 0.9, 0.99))]

@@ -80,12 +80,10 @@ def test_log_gamma_in_place_lift_keeps_its_bits(case):
     }[case]
     before = x.copy()
     got = log_gamma(x)
+    # each entry is lifted in Python floats, with the bits of the array lift
     assert np.array_equal(got, _masked_lift_log_gamma(x))
     assert np.array_equal(x, before)
-    # one entry runs in Python floats, with the array's bits
-    picks = np.random.default_rng(7).choice(x.size, size=min(x.size, 2000), replace=False)
-    alone = np.array([log_gamma(float(x.flat[i])) for i in picks])
-    assert np.array_equal(alone, np.ravel(got)[picks])
+    assert type(log_gamma(0.37)) is float
 
 
 def test_large_arguments_return_without_overflow_warning():
@@ -236,6 +234,67 @@ def test_inv_incomplete_gamma_against_mpmath():
             assert abs(ours - root) <= 1e-13 * root, (a, level, ours, root)
 
 
+def _array_norm_ppf(p):
+    # Acklam's normal quantile as whole-array passes, as special._norm_ppf's steps
+    a, b, c, d = special._ACKLAM_A, special._ACKLAM_B, special._ACKLAM_C, special._ACKLAM_D
+    plow = 0.02425
+    tail = p < plow
+    q = np.sqrt(-2.0 * np.log(np.where(tail, p, plow)))
+    z_tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    q = p - 0.5
+    r = q * q
+    z_mid = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return np.where(tail, z_tail, z_mid)
+
+
+def _array_inv_gamma(a, t, upper):
+    # the whole-array form of special._inv_gamma_one: every level of the 1-d
+    # array t at once, with the levels still moving gathered by index
+    on_q = (t > 0.5) != upper
+    r = np.where(t > 0.5, 1.0 - t, t)
+    sgn = np.where(on_q, -1.0, 1.0)
+    lg_a = log_gamma(a)
+    log_u = np.where(on_q, np.log1p(-r), np.log(r))
+    log_xs = (log_u + lg_a + np.log(a)) / a
+    if np.any(log_xs < special._LOG_TINY):
+        raise OverflowInValue("below the float64 normal range")
+    z = sgn * _array_norm_ppf(r)
+    wh = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+    x = np.maximum(np.exp(log_xs), a * np.maximum(wh, 0.0) ** 3)
+    clamp = special._HALLEY_CLAMP
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, np.inf)
+    active = np.arange(t.size)
+    for _ in range(special._HALLEY_MAX):
+        if active.size == 0:
+            break
+        xa, ra, sa = x[active], r[active], sgn[active]
+        p, q = special._gamma_pq(a, xa, lg_a)
+        f = np.where(sa < 0.0, q, p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.log(f / ra)
+            w = np.exp((a - 1.0) * np.log(xa) - xa - lg_a - np.log(f))
+            h = sa * g / w
+            curv = (a - 1.0) / xa - 1.0 - sa * w
+            step = h / (1.0 - 0.5 * np.minimum(1.0, h * curv))
+            x_new = np.clip(xa - step, xa / clamp, xa * clamp)
+            above = sa * g > 0.0
+            lo_a = np.where(above, lo[active], xa)
+            hi_a = np.where(above, xa, hi[active])
+            inside = (x_new >= lo_a) & (x_new <= hi_a)
+            bisect = np.where(np.isinf(hi_a), lo_a * clamp, np.where(
+                lo_a > 0.0, np.sqrt(lo_a) * np.sqrt(hi_a), hi_a / clamp))
+            x_new = np.where(inside, x_new, bisect)
+        lo[active], hi[active] = lo_a, hi_a
+        x[active] = x_new
+        active = active[~(inside & (np.abs(step) <= special._HALLEY_STOP * x_new))]
+    else:
+        raise ConvergenceError("did not converge")
+    return x
+
+
 def _solve_or_error(inverse, a, levels):
     try:
         return inverse(a, levels)
@@ -243,9 +302,14 @@ def _solve_or_error(inverse, a, levels):
         return type(exc)
 
 
+def _array_inverse(upper):
+    return lambda a, level: float(_array_inv_gamma(a, np.array([level]), upper)[0])
+
+
 def test_inv_incomplete_gamma_array_equals_per_element_calls():
-    # one level is solved in Python floats, more in arrays: each single call
-    # gives the bits of its array entry, or raises the same error
+    # each level is solved in Python floats: every root has the bits of the
+    # whole-array form of the same steps, or raises the same error, and an
+    # array of levels has the bits of one call per level
     levels = np.array(INV_LEVELS).reshape(3, 4)
     for a in (1.0, 3.0, 300.0):
         for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
@@ -259,13 +323,32 @@ def test_inv_incomplete_gamma_array_equals_per_element_calls():
     sweep = np.concatenate([INV_LEVELS, 10.0 ** rng.uniform(-300.0, -0.31, 40),
                             1.0 - 10.0 ** rng.uniform(-16.0, -0.31, 40)])
     for a in (1e-3, 0.05, 0.09, 0.5, 1.0, 3.0, 300.0, 1e4, 1e5):
-        for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
+        for upper, inverse in ((False, inv_reg_lower_gamma), (True, inv_reg_upper_gamma)):
             single = [_solve_or_error(inverse, a, float(v)) for v in sweep]
             solved = np.array([type(x) is float for x in single])
-            whole = inverse(a, sweep[solved])
-            assert np.array_equal(whole, [x for x in single if type(x) is float])
+            roots = [x for x in single if type(x) is float]
+            assert np.array_equal(_array_inv_gamma(a, sweep[solved], upper), roots)
+            assert np.array_equal(inverse(a, sweep[solved]), roots)
             for v, x in zip(sweep[~solved], np.array(single, dtype=object)[~solved]):
+                assert _solve_or_error(_array_inverse(upper), a, v) is x, (a, v)
                 assert _solve_or_error(inverse, a, np.array([v, v])) is x, (a, v)
+
+
+def test_inv_incomplete_gamma_keeps_its_step_cap(monkeypatch):
+    # under a cap of k passes the array form solves a level whose last step
+    # is step k - 1 and raises ConvergenceError for one that needs step k;
+    # the one-level solve gives up at the same step
+    cases = ((3.0, 0.3, False), (0.05, 1e-12, True), (300.0, 1.0 - 1e-12, False),
+             (1e-3, 1e-300, True))
+    for a, level, upper in cases:
+        inverse = inv_reg_upper_gamma if upper else inv_reg_lower_gamma
+        outcomes = set()
+        for cap in range(1, 9):
+            monkeypatch.setattr(special, "_HALLEY_MAX", cap)
+            want = _solve_or_error(_array_inverse(upper), a, level)
+            assert _solve_or_error(inverse, a, level) == want, (a, level, cap)
+            outcomes.add(type(want))
+        assert outcomes == {type, float}, (a, level)
 
 
 def test_inv_incomplete_gamma_below_normal_range_raises():
