@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -282,7 +283,10 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gamgen parser, built once per process: each parse_args call reads
+    the argument list into a new namespace and leaves the parser as it was."""
     parser = _Parser(
         prog="gamgen",
         description="Estimators, samplers, and Monte Carlo studies for the "

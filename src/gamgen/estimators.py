@@ -25,7 +25,7 @@ from .errors import (
     positive_array,
 )
 from .generators import Generator, inverse_of
-from .special import RngStream, _digamma, digamma, sample_gamma
+from .special import RngStream, _digamma, _divide, digamma, sample_gamma
 
 __all__ = [
     "ScoreVector",
@@ -265,7 +265,10 @@ def _solve_mu_ml_array(h: np.ndarray):
 
     h is taken as a flat array. Returns (root, iterations, residual,
     (lo, hi), converged): an entry that could not be bracketed or ran out of
-    iterations is False in the mask.
+    iterations is False in the mask. Its callers are the ML kind of the
+    study engine and of a native estimator's bootstrap resamples
+    (experiment._theta_from_means), with many entries per call; one sample's
+    H goes to _solve_mu_ml_one, which takes the same steps in Python floats.
     """
     h = np.asarray(h, dtype=np.float64).ravel()
     if h.size == 0:
@@ -327,11 +330,70 @@ def _solve_mu_ml_array(h: np.ndarray):
     return m, iters, fm, bracket0, converged
 
 
+def _solve_mu_ml_one(h: float):
+    """_solve_mu_ml_array's steps for one h, in Python floats.
+
+    + - * / and comparisons run on Python floats, which round as numpy's
+    elementwise loops do, and ln and digamma through numpy's ufunc on a
+    scalar (special._digamma of a float), so every step has the bits of the
+    array form's step on this entry. Where a divisor is 0, _divide gives
+    numpy's inf or nan, where Python would raise. Returns (root, iterations,
+    residual, (lo, hi), converged) as Python scalars.
+    """
+    if not 0.0 < h < np.inf:
+        raise DomainError("ML equation solve requires h > 0")
+
+    def f(x):
+        return float(np.log(x)) - _digamma(x) - h
+
+    m = (3.0 + float(np.sqrt(9.0 + 12.0 * h))) / (12.0 * h)
+    lo = m / 10.0
+    hi = m * 10.0
+    step = m * 1e-7
+    flo, fhi, fm, f_up, f_down = (f(x) for x in (lo, hi, m, m + step, m - step))
+    fp = _divide(f_up - f_down, 2.0 * step)
+    for _ in range(300):
+        if not flo < 0.0:
+            break
+        lo /= 4.0
+        flo = f(lo)
+    for _ in range(300):
+        if not fhi > 0.0:
+            break
+        hi *= 4.0
+        fhi = f(hi)
+    # a NaN end (mu0 overflowed) is not a bracket
+    bracketed = flo >= 0.0 and fhi <= 0.0
+
+    iters = 0
+    alo, ahi = lo, hi
+    going = bracketed and abs(fm) > 1e-12
+    for _ in range(200):
+        if not going:
+            break
+        if fm > 0.0:
+            alo = m
+        elif fm < 0.0:
+            ahi = m
+        newton = m - _divide(fm, fp)
+        inside = alo < newton < ahi  # the ends are finite: false for a nan or inf step
+        m = newton if inside else 0.5 * (alo + ahi)
+        step = m * 1e-7
+        fm, f_up, f_down = f(m), f(m + step), f(m - step)
+        fp = _divide(f_up - f_down, 2.0 * step)
+        iters += 1
+        # ulp-limited plateau: stop when the bracket cannot shrink further
+        going = abs(fm) > 1e-12 and not (ahi - alo <= float(np.spacing(alo)) * 4.0)
+    return m, iters, fm, (lo, hi), bracketed and not going
+
+
 def estimate_mu_ml(sample: Sample, g: Generator):
     """Classical ML estimator of mu with solver diagnostics.
 
     Returns (mu_hat, SolverDiagnostics). The root of ln(mu) - psi(mu) = H is
-    unique because the left side decreases strictly from +inf to 0.
+    unique because the left side decreases strictly from +inf to 0. The one
+    H is solved in Python floats (_solve_mu_ml_one), with the bits of its
+    entry in the study engine's array solve.
     """
     _require_spread(sample, "ML mu")
     h = ml_equation_rhs(sample, g)
@@ -339,15 +401,10 @@ def estimate_mu_ml(sample: Sample, g: Generator):
         raise DegenerateSampleError(
             "all generator values equal; the ML shape estimate diverges"
         )
-    m, iters, resid, (lo, hi), converged = _solve_mu_ml_array(np.array([h]))
-    if not converged[0]:
+    m, iters, resid, bracket, converged = _solve_mu_ml_one(h)
+    if not converged:
         raise ConvergenceError("ML shape solve did not converge")
-    diag = SolverDiagnostics(
-        iterations=int(iters[0]),
-        residual=float(resid[0]),
-        bracket=(float(lo[0]), float(hi[0])),
-    )
-    return float(m[0]), diag
+    return m, SolverDiagnostics(iterations=iters, residual=resid, bracket=bracket)
 
 
 def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):

@@ -11,12 +11,12 @@ method. Randomness comes from ``RngStream``, a counter-based stream fully
 determined by (seed, stream_id).
 
 log_gamma and the inverse solver take each entry in Python floats, and so
-does the incomplete gamma pair for one entry; its larger inputs run in
-arrays. The float form runs the array form's steps: + - * / and comparisons
-on Python floats, which round as numpy's elementwise loops do, and every
-transcendental through its numpy ufunc on a scalar, which runs the array
-loop; so a float has the bits of its entry in an array pass, without
-numpy's per-call cost.
+do the incomplete gamma pair for one entry and digamma of a scalar; their
+larger inputs run in arrays. The float form runs the array form's steps:
++ - * / and comparisons on Python floats, which round as numpy's elementwise
+loops do, and every transcendental through its numpy ufunc on a scalar,
+which runs the array loop; so a float has the bits of its entry in an array
+pass, without numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def log_gamma(x):
     the Stirling series with seven Bernoulli terms evaluates the lifted value
     (truncation error < 1e-17 at the x=12 cutoff). Each entry is lifted and
     summed in Python floats, with ln through numpy's ufunc on a scalar.
+    Above about 2.5e305, where ln Gamma(x) exceeds the largest float, it
+    raises OverflowInValue.
     """
     arr = positive_array(x, "log_gamma argument")
     if arr.ndim == 0:
@@ -115,7 +117,11 @@ def _log_gamma_one(w: float) -> float:
     series = _STIRLING[-1]
     for coef in _STIRLING[-2::-1]:
         series = coef + t * series
-    return float((w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift)
+    # the leading term bounds the others: it is inf where the sum overflows
+    lead = (w - 0.5) * float(np.log(w))
+    if lead == np.inf:
+        raise OverflowInValue("log_gamma: ln Gamma(x) exceeds the float64 range")
+    return float(lead - w + _HALF_LOG_2PI + series / w - shift)
 
 
 def digamma(x):
@@ -126,24 +132,29 @@ def digamma(x):
     cutoff, far below the lift's own rounding floor near x ~ 1e-6).
     """
     arr = positive_array(x, "digamma argument")
+    if arr.ndim == 0:
+        return _digamma(arr.item())
     with np.errstate(over="ignore"):  # w * w overflows to inf above ~1e154: t = 0
-        out = _digamma(arr)
-    return float(out) if arr.ndim == 0 else out
+        return _digamma(arr)
 
 
-def _digamma(arr: np.ndarray) -> np.ndarray:
-    """digamma on a float64 array already known to be finite and > 0.
+def _digamma(x):
+    """digamma of a Python float, or of a float64 array, already known to be
+    finite and > 0.
 
-    The lift runs in place on a copy of the input: an entry that needs no
-    more lifting adds 0.0 to its shift and to its argument, which is exact
-    (its 1/w is finite, since w >= 6), so each entry has the bits of the
-    masked update.
+    The lift of an array runs in place on a copy of the input: an entry that
+    needs no more lifting adds 0.0 to its shift and to its argument, which
+    is exact (its 1/w is finite, since w >= 6), so each entry has the bits
+    of the masked update. A float takes the same steps while it is below 6,
+    with ln through numpy's ufunc on a scalar, so it has the bits of its
+    entry in an array; its w * w overflows to inf without a warning.
     """
-    w = arr.copy()
-    shift = np.zeros_like(w)
+    one = isinstance(x, float)
+    w = x if one else x.copy()
+    shift = 0.0 if one else np.zeros_like(w)
     for _ in range(6):
         mask = w < 6.0
-        if not mask.any():
+        if not (mask if one else mask.any()):
             break
         shift += mask * (1.0 / w)
         w += mask
@@ -151,7 +162,8 @@ def _digamma(arr: np.ndarray) -> np.ndarray:
     series = _DIGAMMA[-1]
     for coef in _DIGAMMA[-2::-1]:
         series = coef + t * series
-    return np.log(w) - 0.5 / w - t * series - shift
+    log_w = float(np.log(w)) if one else np.log(w)
+    return log_w - 0.5 / w - t * series - shift
 
 
 _SERIES_MAX = 10000  # terms of either incomplete-gamma expansion
@@ -467,8 +479,12 @@ def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> f
 
 
 def _divide(n: float, d: float) -> float:
-    """n / d with numpy's inf or nan where d is 0 (Python would raise)."""
-    return n / d if d else float(np.divide(n, d))
+    """n / d with numpy's inf or nan, and no warning, where d is 0 (Python
+    would raise)."""
+    if d:
+        return n / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(n, d))
 
 
 def inv_reg_lower_gamma(a: float, u):

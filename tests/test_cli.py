@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gamgen import cli
 from gamgen.cli import main
 
 
@@ -323,6 +324,26 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
         ["plot", "--in", str(bad), "--out", str(tmp_path / "fig")], capsys
     )
     assert code == 3
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    # main reuses one parser; each call must see only its own arguments
+    assert cli.build_parser() is cli.build_parser()
+    rayleigh = ["sample", "--generator", "rayleigh", "--n", "5", "--seed", "3"]
+    code, first, _ = run_cli(rayleigh + ["--param", "beta=1.5"], capsys)
+    assert code == 0
+    # a --param left over from the call before would clash with --mu/--sigma
+    gamma = ["sample", "--generator", "gamma", "--mu", "1", "--sigma", "1", "--n", "5",
+             "--seed", "3"]
+    code, _, err = run_cli(gamma, capsys)
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(rayleigh, capsys)
+    assert code == 2
+    assert kv_lines(err)["message"] == "no parameter values given"
+    for argv in (["--help"], ["fit", "--help"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "usage: gamgen" in out
+    assert run_cli(rayleigh + ["--param", "beta=1.5"], capsys)[:2] == (0, first)
 
 
 def test_argparse_usage_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Closed-form and ML estimators: frozen oracles, identities, and consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from gamgen import (
     score_vector,
 )
 from gamgen import estimators
-from gamgen.estimators import _mean_last, _solve_mu_ml_array
+from gamgen.estimators import _mean_last, _solve_mu_ml_array, _solve_mu_ml_one
 
 from conftest import POWER_LAW_SWEEP, random_param_points, sweep_ids
 
@@ -217,6 +218,53 @@ def test_solver_keeps_the_bits_of_separate_passes(case):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
+@pytest.mark.parametrize("case", ["grid", "resamples", "extreme"])
+def test_float_solver_keeps_the_bits_of_the_array_solver(case):
+    h = {
+        "grid": np.geomspace(1e-14, 1e4, 20_001),
+        "resamples": _resample_h(3, 20_000, 101),
+        "extreme": EXTREME_H,
+    }[case]
+    with np.errstate(all="ignore"):
+        root, iters, resid, (lo, hi), converged = _solve_mu_ml_array(h.copy())
+    # Python floats give numpy's inf and nan, with no warning and no raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_solve_mu_ml_one(v) for v in h.tolist()]
+    assert {tuple(type(v) for v in one) for one in got} == {(float, int, float, tuple, bool)}
+    for want, col in zip((root, iters, resid, lo, hi, converged),
+                         zip(*[(r, k, f, a, b, c) for r, k, f, (a, b), c in got])):
+        assert np.array_equal(np.array(col, dtype=want.dtype), want,
+                              equal_nan=want.dtype.kind == "f")
+
+
+def test_fits_solve_in_python_floats(monkeypatch):
+    # fit_family and estimate_mu_ml take digamma one float at a time, and
+    # report the root and diagnostics of the one-entry array solve
+    samples = [Sample(draw(50, FamilyParams(0.5 + k, 1.0), GAMMA, RngStream(43, k)))
+               for k in range(4)]
+    want = []
+    for s in samples:
+        root, iters, resid, (lo, hi), converged = _solve_mu_ml_array(
+            np.array([ml_equation_rhs(s, GAMMA)]))
+        assert converged[0]
+        want.append((root[0], iters[0], resid[0], (lo[0], hi[0])))
+    args = []
+
+    def counting(x):
+        args.append(type(x))
+        return digamma_kernel(x)
+
+    digamma_kernel = estimators._digamma
+    monkeypatch.setattr(estimators, "_digamma", counting)
+    for s, (root, iters, resid, bracket) in zip(samples, want):
+        report = fit_family(s, GAMMA)
+        mu, diag = estimate_mu_ml(s, GAMMA)
+        assert (report.mu_hat_ml, report.solver) == (mu, diag)
+        assert (mu, diag.iterations, diag.residual, diag.bracket) == (root, iters, resid, bracket)
+    assert args and set(args) == {float}
+
+
 def test_solver_starts_from_mu0():
     # the bracket starts at [mu0 / 10, 10 mu0] and only widens, so clipping
     # mu0 to its inside leaves it as it is
@@ -262,7 +310,7 @@ def test_solver_makes_one_pass_to_start_and_one_per_step(monkeypatch):
     assert passes == 1 + k
     old_passes, _ = _count_passes(monkeypatch, _separate_pass_solve_mu_ml, h)
     assert old_passes == 3 + 2 * k
-    # one entry at a time, as estimate_mu_ml solves
+    # an array of one entry takes the same passes
     for one in (0.05, 2.0):
         passes, (_, iters, _, _, _) = _count_passes(monkeypatch, _solve_mu_ml_array, np.array([one]))
         assert passes == 1 + int(iters[0])

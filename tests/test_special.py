@@ -1,6 +1,7 @@
 """Special functions: accuracy against scipy/mpmath oracles plus pinned values."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -51,6 +52,16 @@ def test_log_gamma_domain():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError):
             log_gamma(bad)
+
+
+def test_log_gamma_beyond_the_float_range_is_an_overflow_error():
+    # ln Gamma(x) exceeds the largest float above about 2.5e305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (2.6e305, 1e307, np.array([1e307, 2.0]), np.finfo(np.float64).max):
+            with pytest.raises(OverflowInValue):
+                log_gamma(x)
+        assert log_gamma(2.4e305) == pytest.approx(2.4e305 * (math.log(2.4e305) - 1.0))
 
 
 def _masked_lift_log_gamma(arr):
@@ -135,6 +146,11 @@ def test_digamma_in_place_lift_keeps_its_bits(case):
         want = _where_lift_digamma(x)
         assert np.array_equal(special._digamma(x), want)
     assert np.array_equal(digamma(x), want)
+    # a Python float takes the float form, with the bits of its array entry
+    assert np.array_equal([special._digamma(v) for v in x.tolist()], want)
+    some = x[::101].tolist()
+    assert [digamma(v) for v in some] == want[::101].tolist()
+    assert type(digamma(2.0)) is float
 
 
 def test_digamma_leaves_its_input_unchanged():
