@@ -22,8 +22,10 @@ from .errors import (
     DomainError,
     GamgenError,
     NonpositiveObservationError,
+    OverflowInValue,
 )
 from .estimators import (
+    _native_theta,
     estimate_mu_closed,
     estimate_mu_ml,
     estimate_sigma,
@@ -175,8 +177,12 @@ def cmd_fit(args) -> int:
         failed = failed or ex
         pairs.append(("mu_hat_ml", ex.name))
     if g.native is not None and mu_closed is not None:
-        native = g.native.from_family(mu_closed, sigma_hat)
-        pairs.extend((k, float(native[k])) for k in g.native.names)
+        try:
+            theta = _native_theta(g, g.native.names, mu_closed, sigma_hat, OverflowInValue)
+            pairs.extend(zip(g.native.names, theta.tolist()))
+        except GamgenError as ex:
+            failed = failed or ex
+            pairs.extend((k, ex.name) for k in g.native.names)
     _emit(pairs, args.json)
     if failed is not None:
         _emit([("error", failed.name), ("message", str(failed))], args.json, sys.stderr)

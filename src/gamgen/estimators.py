@@ -22,7 +22,6 @@ from .errors import (
     InvalidSampleError,
     NoRootInBracketError,
     OverflowInValue,
-    positive_array,
 )
 from .generators import Generator, inverse_of
 from .special import RngStream, _digamma, _divide, digamma, sample_gamma
@@ -130,6 +129,8 @@ def _mean_last(x: np.ndarray):
     the vectorized experiment engine produce bit-identical results on the
     same data."""
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    if x.size == x.shape[-1]:  # alone, a row longer than 8192 sums in another order
+        return np.einsum("...n->...", np.broadcast_to(x, (2,) + x.shape))[0] / x.shape[-1]
     return np.einsum("...n->...", x) / x.shape[-1]
 
 
@@ -265,10 +266,9 @@ def _solve_mu_ml_array(h: np.ndarray):
 
     h is taken as a flat array. Returns (root, iterations, residual,
     (lo, hi), converged): an entry that could not be bracketed or ran out of
-    iterations is False in the mask. Its callers are the ML kind of the
-    study engine and of a native estimator's bootstrap resamples
-    (experiment._theta_from_means), with many entries per call; one sample's
-    H goes to _solve_mu_ml_one, which takes the same steps in Python floats.
+    iterations is False in the mask. Its one caller is the ML kind of
+    _from_means, with many entries per call; one sample's H goes to
+    _solve_mu_ml_one, which takes the same steps in Python floats.
     """
     h = np.asarray(h, dtype=np.float64).ravel()
     if h.size == 0:
@@ -407,20 +407,66 @@ def estimate_mu_ml(sample: Sample, g: Generator):
     return m, SolverDiagnostics(iterations=iters, residual=resid, bracket=bracket)
 
 
+# the rows of _pointwise that _from_means reads: closed T, ln y, w, a, r; ML T, ln T
+_KIND_ROWS = {"closed": (0, 2, 3, 4, 5), "ml": (0, 1)}
+
+
+def _from_means(M, kind: str, ok, p=1.0):
+    """(mu, sigma, ok) from the means M[r] of the rows r of _pointwise (M
+    need hold only _KIND_ROWS[kind]), NaN where ok is False, elementwise:
+    the profiles at the powers p (scalar or shaped like M[r]) for kind
+    "closed", estimate_sigma and estimate_mu_ml for "ml". An entry fails
+    where ok is False on entry, where those would raise, or where mu is not
+    finite."""
+    mean_t1 = M[0]
+    with np.errstate(all="ignore"):
+        ok = ok & np.isfinite(mean_t1) & (mean_t1 > 0.0)
+        if kind == "closed":
+            numer, denom = _mu_closed_from_means(M[2], M[3], mean_t1, M[4], M[5], p)
+            mu = numer / denom
+            # a numer or denom that is not finite makes mu not finite, or 0
+            ok = ok & (denom > 0.0) & np.isfinite(mu) & (mu > 0.0)
+        else:
+            h = np.log(mean_t1) - M[1]
+            ok = ok & np.isfinite(h) & (h > 0.0)
+            mu = np.full(h.shape, np.nan)
+            root, _, _, _, converged = _solve_mu_ml_array(h[ok])
+            mu[ok] = np.where(converged, root, np.nan)
+            ok = ok & np.isfinite(mu)
+        return np.where(ok, mu, np.nan), np.where(ok, 1.0 / mean_t1, np.nan), ok
+
+
+def _native_theta(g: Generator, names, mu, sigma, error=None):
+    """The parameters names of g at (mu, sigma) as a (k,) + shape array, all
+    NaN for an entry where one is not finite and > 0, or error raised there
+    if given. Scalars go in as numpy floats, which round as Python floats
+    do but give inf or 0 where Python would raise."""
+    if not isinstance(mu, np.ndarray):
+        mu, sigma = np.float64(mu), np.float64(sigma)
+    with np.errstate(all="ignore"):
+        if names == ("mu", "sigma") or g.native is None:
+            values = (mu, sigma)
+        else:
+            native = g.native.from_family(mu, sigma)
+            values = [native[k] for k in names]
+        theta = np.array(values, dtype=np.float64)
+    good = (theta > 0.0) & (theta < np.inf)
+    if error is not None and not good.all():
+        raise error("parameter estimate is not finite and > 0")
+    return np.where(good.all(axis=0), theta, np.nan) if error is None else theta
+
+
 def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
     """Residuals of the profiled mu-score equation at the powers p, with the
     profile estimates mu and sigma there, as three arrays shaped like p.
 
-    Entry by entry this is profile_mu and profile_sigma at one power on the
-    flat sample y, then ln mu - psi(mu) + ln sigma + mean ln T. All of p
-    takes one _pointwise_terms pass and one digamma pass. More than one
-    power take the mean of each (k, n) term, which sums each row in the
-    order of the (6, n) rows; a single power takes those rows from
-    _pointwise, as profile_mu does, because _mean_last of a lone (1, n) row
-    can sum in another order. A residual is NaN where either profile would
-    raise InvalidSampleError or OverflowInValue, or where it is not finite.
-    A block that overflows is redone one power at a time, so the overflow
-    marks only its own powers. The spread check is left to the caller.
+    Entry by entry this is _from_means at one power on the flat sample y,
+    then ln mu - psi(mu) + ln sigma + mean ln T, NaN where _from_means
+    fails or it is not finite. All of p takes one _pointwise_terms pass and one digamma
+    pass; more than one power take the means of the (k, n) terms, a single
+    power (faster) those of the (6, n) rows of _pointwise. A block that
+    overflows is redone one power at a time, so the overflow marks only its
+    own powers. The spread check is left to the caller.
     """
     try:
         if p.size == 1:
@@ -433,18 +479,11 @@ def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
             return (np.full(1, np.nan),) * 3
         parts = [_power_residuals(y, g, p[i : i + 1]) for i in range(p.size)]
         return tuple(np.concatenate(col) for col in zip(*parts))
-    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = means
+    mu, sigma, ok = _from_means(means, "closed", True, p)
     resid = np.full(p.shape, np.nan)
     with np.errstate(all="ignore"):
-        numer, denom = _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p)
-        mu = numer / denom
-        sigma = 1.0 / mean_t1
-        ok = (np.isfinite(mean_t1) & (mean_t1 > 0.0) & np.isfinite(numer)
-              & np.isfinite(denom) & (denom > 0.0) & (mu > 0.0))
-        # profile_mu can return mu = inf, which digamma rejects
-        mu_ok = positive_array(mu[ok], "digamma argument")
-        rhs = -np.log(sigma[ok]) - mean_log_t1[ok]
-        resid[ok] = np.log(mu_ok) - _digamma(mu_ok) - rhs
+        rhs = -np.log(sigma[ok]) - means[1][ok]
+        resid[ok] = np.log(mu[ok]) - _digamma(mu[ok]) - rhs
     resid[~np.isfinite(resid)] = np.nan
     return resid, mu, sigma
 
@@ -620,9 +659,8 @@ def fit_family(sample: Sample, g: Generator) -> EstimateReport:
     mu_ml, diag = estimate_mu_ml(sample, g)
     native = {}
     if g.native is not None:
-        native = {
-            k: float(v) for k, v in g.native.from_family(mu_closed, sigma_hat).items()
-        }
+        theta = _native_theta(g, g.native.names, mu_closed, sigma_hat, OverflowInValue)
+        native = dict(zip(g.native.names, theta.tolist()))
     return EstimateReport(
         sigma_hat=sigma_hat,
         mu_hat_closed=mu_closed,

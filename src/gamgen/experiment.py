@@ -10,19 +10,20 @@ A cell runs each estimation stage once for all its replications. Each
 replication draws its sample on its own stream and computes its pointwise
 rows (estimators._pointwise) once; one that fails there fails alone. One
 _theta_from_means call per kind turns the row means of every surviving
-replication into raw estimates. bootstrap._resample_estimates then runs the
-bootstrap of every replication whose raw estimate succeeded, each on its own
-substream: it draws each replication's (B, n) index matrix in row blocks,
-and _resample_evaluator gathers only the rows a kind reads (closed: T, ln y,
-w, a, r; ML: T, ln T) through each block, each as its own contiguous block,
-so every mean is summed in the same order as on the resampled sample
-itself. One _theta_from_means call, and so one ML root solve, estimates all
-N B resamples of the cell, and each redraw round one more for the candidates
-of every replication. Every stage is elementwise or a _mean_last row
-reduction, so the bits are those of one replication at a time.
-bootstrap_bias_reduce runs the same loop with the same evaluator, which
-native_estimator attaches to its callable; tests pin both against one
-estimator call per resample, bit for bit.
+replication into raw estimates, through estimators._from_means and
+estimators._native_theta, which also serve fit_full_ml and fit_family.
+bootstrap._resample_estimates then runs the bootstrap of every replication
+whose raw estimate succeeded, each on its own substream: it draws each
+replication's (B, n) index matrix in row blocks, and _resample_evaluator
+gathers only the rows a kind reads (estimators._KIND_ROWS) through each
+block, each as its own contiguous block, so every mean is summed in the same
+order as on the resampled sample itself. One _theta_from_means call, and so
+one ML root solve, estimates all N B resamples of the cell, and each redraw
+round one more for the candidates of every replication. Every stage is
+elementwise or a _mean_last row reduction, so the bits are those of one
+replication at a time. bootstrap_bias_reduce runs the same loop with the
+same evaluator, which native_estimator attaches to its callable; tests pin
+both against one estimator call per resample, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from .bootstrap import _resample_estimates, relative_bias, rmse
 from .distribution import FamilyParams, Sample, sample
 from .errors import DataError, DomainError, GamgenError, InvalidSampleError
 from .estimators import (
+    _KIND_ROWS,
+    _from_means,
     _mean_last,
-    _mu_closed_from_means,
+    _native_theta,
     _pointwise,
     _pointwise_rows,
-    _solve_mu_ml_array,
     estimate_mu_closed,
     estimate_mu_ml,
     estimate_sigma,
@@ -141,47 +143,17 @@ def _family_params_of(g: Generator, theta: dict):
     return float(mu), float(sigma), tuple(g.native.names)
 
 
-# the pointwise rows (estimators._pointwise) that _theta_from_means reads for
-# each kind: closed reads T, ln y, w, a, r and ML reads T, ln T
-_KIND_ROWS = {"closed": (0, 2, 3, 4, 5), "ml": (0, 1)}
-
-
-def _theta_from_means(M, g: Generator, param_names, kind: str,
-                      spread_ok: np.ndarray):
-    """Estimates from row means M: returns ((k, B) array, ok mask).
-
-    M[r] is the (B,) means of pointwise row r. M is either the full (6, B)
-    array or a dict that holds only the rows _KIND_ROWS[kind] names, so a
-    read of any other row raises instead of seeing a filler value.
+def _theta_from_means(M, g: Generator, param_names, kind: str, spread_ok: np.ndarray):
+    """Estimates from the (B,) means M[r] of pointwise rows r: returns
+    ((k, B) array, ok mask), False where _from_means or _native_theta fails.
 
     spread_ok marks resamples with at least two distinct observations; both
     kinds require it, mirroring the degeneracy guards of estimate_mu_closed
     and estimate_mu_ml so both code paths classify every resample alike.
     """
-    mean_t1 = M[0]
-    with np.errstate(all="ignore"):
-        base = spread_ok & np.isfinite(mean_t1) & (mean_t1 > 0.0)
-        sigma = np.where(base, 1.0 / mean_t1, np.nan)
-        if kind == "closed":
-            numer, denom = _mu_closed_from_means(M[2], M[3], mean_t1, M[4], M[5])
-            ok = base & np.isfinite(numer) & np.isfinite(denom) & (denom > 0.0)
-            mu = np.where(ok, numer / denom, np.nan)
-            ok = ok & np.isfinite(mu) & (mu > 0.0)
-        else:
-            h = np.log(mean_t1) - M[1]
-            ok = base & np.isfinite(h) & (h > 0.0)
-            mu = np.full(h.shape, np.nan)
-            root, _, _, _, converged = _solve_mu_ml_array(h[ok])
-            mu[ok] = np.where(converged, root, np.nan)
-            ok = ok & np.isfinite(mu)
-        if param_names == ("mu", "sigma") or g.native is None:
-            theta = np.vstack([mu, sigma])
-        else:
-            native = g.native.from_family(mu, sigma)
-            theta = np.vstack([np.asarray(native[k], dtype=np.float64) for k in param_names])
-    ok = ok & np.all(np.isfinite(theta) | ~ok[None, :], axis=0)
-    theta = np.where(ok[None, :], theta, np.nan)
-    return theta, ok
+    mu, sigma, ok = _from_means(M, kind, spread_ok)
+    theta = _native_theta(g, param_names, mu, sigma)
+    return theta, ok & ~np.isnan(theta[0])
 
 
 def native_estimator(g: Generator, kind: str, param_names=None):
@@ -202,18 +174,8 @@ def native_estimator(g: Generator, kind: str, param_names=None):
 
     def estimate(s: Sample) -> np.ndarray:
         sigma = estimate_sigma(s, g)
-        if kind == "closed":
-            mu = estimate_mu_closed(s, g)
-        else:
-            mu, _ = estimate_mu_ml(s, g)
-        if param_names == ("mu", "sigma") or g.native is None:
-            theta = np.array([mu, sigma])
-        else:
-            native = g.native.from_family(mu, sigma)
-            theta = np.array([float(native[k]) for k in param_names])
-        if np.any(~np.isfinite(theta)):
-            raise InvalidSampleError("parameter estimate is not finite")
-        return theta
+        mu = estimate_mu_closed(s, g) if kind == "closed" else estimate_mu_ml(s, g)[0]
+        return _native_theta(g, param_names, mu, sigma, InvalidSampleError)
 
     def resample_evaluator(s: Sample):
         return _resample_evaluator([_pointwise_rows(s, g)], [s.values], g, param_names, kind)

@@ -240,12 +240,7 @@ def _gamma():
 
 
 def _chi_squared():
-    native = NativeParamMap(
-        names=("nu",),
-        to_family=lambda nu: (nu / 2.0, 1.0 / nu),
-        from_family=lambda mu, sigma: {"nu": 1.0 / sigma},
-    )
-    return _power_generator("chi-squared", 1.0, {}, native)
+    return _power_generator("chi-squared", 1.0, {}, _shape_rate_native("nu", 2.0))
 
 
 def _scaled_inverse_chi_squared():
@@ -267,21 +262,11 @@ def _nakagami():
 
 
 def _maxwell_boltzmann():
-    native = NativeParamMap(
-        names=("beta",),
-        to_family=lambda beta: (1.5, 1.0 / (3.0 * beta**2)),
-        from_family=lambda mu, sigma: {"beta": 1.0 / np.sqrt(3.0 * sigma)},
-    )
-    return _power_generator("maxwell-boltzmann", 2.0, {}, native)
+    return _power_generator("maxwell-boltzmann", 2.0, {}, _fixed_shape_native(3.0))
 
 
 def _rayleigh():
-    native = NativeParamMap(
-        names=("beta",),
-        to_family=lambda beta: (1.0, 1.0 / (2.0 * beta**2)),
-        from_family=lambda mu, sigma: {"beta": 1.0 / np.sqrt(2.0 * sigma)},
-    )
-    return _power_generator("rayleigh", 2.0, {}, native)
+    return _power_generator("rayleigh", 2.0, {}, _fixed_shape_native(2.0))
 
 
 def _inverse_gamma():
@@ -290,12 +275,7 @@ def _inverse_gamma():
 
 def _delta_gamma(delta=1.0):
     d = float(delta)
-    native = NativeParamMap(
-        names=("beta",),
-        to_family=lambda beta: (beta / d, 1.0 / beta),
-        from_family=lambda mu, sigma: {"beta": 1.0 / sigma},
-    )
-    return _power_generator("delta-gamma", d, {"delta": d}, native)
+    return _power_generator("delta-gamma", d, {"delta": d}, _shape_rate_native("beta", d))
 
 
 def _weibull_native(d: float) -> NativeParamMap:
@@ -334,6 +314,24 @@ def _rate_native(name: str) -> NativeParamMap:
         names=(name,),
         to_family=lambda **native: (1.0, native[name]),
         from_family=lambda mu, sigma: {name: sigma},
+    )
+
+
+def _shape_rate_native(name: str, d: float) -> NativeParamMap:
+    """Rows whose one native parameter v gives mu = v / d and sigma = 1 / v."""
+    return NativeParamMap(
+        names=(name,),
+        to_family=lambda **native: (native[name] / d, 1.0 / native[name]),
+        from_family=lambda mu, sigma: {name: 1.0 / sigma},
+    )
+
+
+def _fixed_shape_native(k: float) -> NativeParamMap:
+    """Rows with mu = k / 2 and one native scale beta: sigma = 1 / (k beta^2)."""
+    return NativeParamMap(
+        names=("beta",),
+        to_family=lambda beta: (k / 2.0, 1.0 / (k * beta**2)),
+        from_family=lambda mu, sigma: {"beta": 1.0 / np.sqrt(k * sigma)},
     )
 
 
@@ -516,23 +514,17 @@ def _traditional_weibull(b=1.0, c=1.0, d=1.0):
         return x**bb * np.expm1(cc * x**dd)
 
     def d1(x):
-        e = np.exp(cc * x**dd)
-        return x ** (bb - 1.0) * (bb * (e - 1.0) + cc * dd * x**dd * e)
+        u = cc * x**dd
+        return x ** (bb - 1.0) * (bb * np.expm1(u) + cc * dd * x**dd * np.exp(u))
 
     def d2(x):
-        e = np.exp(cc * x**dd)
-        a = bb * (e - 1.0) + cc * dd * x**dd * e
+        u = cc * x**dd
+        e = np.exp(u)
+        a = bb * np.expm1(u) + cc * dd * x**dd * e
         return x ** (bb - 2.0) * ((bb - 1.0) * a + cc * dd * x**dd * e * (bb + dd + cc * dd * x**dd))
 
     def inverse(z):
-        # the Newton polish keeps its own T', with expm1 where d1 has
-        # exp - 1: the polished bits depend on it
-        return _numeric_inverse(
-            value,
-            lambda x: x ** (bb - 1.0)
-            * (bb * np.expm1(cc * x**dd) + cc * dd * x**dd * np.exp(cc * x**dd)),
-            z,
-        )
+        return _numeric_inverse(value, d1, z)
 
     return Generator(
         name="traditional-weibull",

@@ -318,7 +318,8 @@ def _bootstrap_outcome(y, est, B, stream):
 def test_native_evaluator_matches_per_resample_calls():
     # the means-based evaluator that native_estimator attaches must give the
     # bits of one estimator call per resample; n = 3 draws all-equal
-    # resamples, which both paths must redraw alike
+    # resamples, which both paths must redraw alike, and at n = 9000 the
+    # evaluator sums one-row blocks
     cases = (
         ("gamma", FamilyParams(2.0, 1.5)),
         ("new-log-generalized-gamma(delta=1)", FamilyParams(1.5, 2.0)),
@@ -326,7 +327,7 @@ def test_native_evaluator_matches_per_resample_calls():
     )
     for gi, (spec, params) in enumerate(cases):
         g = parse_generator_spec(spec)
-        for n in (3, 20):
+        for n in (3, 20, 9000):
             y = draw(n, params, g, RngStream(31, 100 * gi + n))
             for kind in ("closed", "ml"):
                 est = native_estimator(g, kind)

@@ -102,6 +102,20 @@ def test_fit_overflow_reports_only_the_error_lines(tmp_path):
         assert kv_lines(proc.stderr)["error"] == "overflow"
 
 
+def test_fit_native_value_out_of_range_is_an_overflow(tmp_path, capsys):
+    # beta = (1 / (mu sigma))^200 underflows to 0; fit printed beta=0, exit 0
+    path = tmp_path / "d.txt"
+    path.write_text("".join(f"{v!r}\n" for v in np.logspace(250, 300, 20).tolist()),
+                    encoding="utf-8")
+    code, out, err = run_cli(["fit", "--generator", "gengamma(delta=0.005)", str(path)], capsys)
+    assert code == 4
+    got = kv_lines(out)
+    assert float(got["sigma_hat"]) > 0.0 and float(got["mu_hat_closed"]) > 0.0
+    assert float(got["mu_hat_ml"]) > 0.0
+    assert got["alpha"] == got["beta"] == "overflow"
+    assert kv_lines(err)["error"] == "overflow"
+
+
 def test_fit_unknown_generator_is_usage_error(data123, capsys):
     code, out, err = run_cli(["fit", "--generator", "nope", data123], capsys)
     assert code == 2

@@ -36,8 +36,14 @@ from gamgen import (
     sample as draw,
     score_vector,
 )
-from gamgen import estimators
-from gamgen.estimators import _mean_last, _solve_mu_ml_array, _solve_mu_ml_one
+from gamgen import estimators, experiment
+from gamgen.estimators import (
+    _from_means,
+    _mean_last,
+    _mu_closed_from_means,
+    _solve_mu_ml_array,
+    _solve_mu_ml_one,
+)
 
 from conftest import POWER_LAW_SWEEP, random_param_points, sweep_ids
 
@@ -488,6 +494,8 @@ def _per_point_fit_full_ml(sample, g, p_bracket=(0.05, 20.0)):
             sigma_p = profile_sigma(sample, g, p)
         except (InvalidSampleError, OverflowInValue):
             return None, None, None
+        if mu_p == np.inf:  # digamma would raise; the point is infeasible
+            return None, None, None
         rhs = -np.log(sigma_p) - float(estimators._means(sample, g, p)[1])
         resid = float(np.log(mu_p) - digamma(mu_p) - rhs)
         if not np.isfinite(resid):
@@ -629,6 +637,140 @@ def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n)
     blocks = math.ceil(41 / max(1, estimators._GRID_BLOCK_VALUES // n))
     assert len(passes) == blocks + fit.iterations
     assert sum(passes[:blocks]) == 41 and passes[blocks:] == [1] * fit.iterations
+
+
+@pytest.mark.parametrize("shape", ["flat", "row"])
+def test_mean_last_sums_a_lone_row_as_a_row_of_a_block(shape):
+    # a lone row summed in another order than a row of a block once n > 8192
+    rng = np.random.default_rng(71)
+    sizes = {*np.geomspace(1, 20_000, 40).astype(int).tolist(), 8191, 8192, 8193, 9000}
+    for n in sorted(sizes):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        want = _mean_last(np.stack([x, x]))[0]
+        got = _mean_last(x) if shape == "flat" else _mean_last(x[None])[0]
+        assert got == want, n
+
+
+# References for estimators._from_means: the two mask sequences it replaced,
+# copied from experiment._theta_from_means (which took no power) and from
+# estimators._power_residuals. Two rules are new: a residual at an infinite
+# profile mu is NaN (digamma raised DomainError there), and a native value
+# that is not finite and > 0 fails its entry.
+def _study_rule_reference(M, g, param_names, kind, spread_ok, p=1.0):
+    mean_t1 = M[0]
+    with np.errstate(all="ignore"):
+        base = spread_ok & np.isfinite(mean_t1) & (mean_t1 > 0.0)
+        sigma = np.where(base, 1.0 / mean_t1, np.nan)
+        if kind == "closed":
+            numer, denom = _mu_closed_from_means(M[2], M[3], mean_t1, M[4], M[5], p)
+            ok = base & np.isfinite(numer) & np.isfinite(denom) & (denom > 0.0)
+            mu = np.where(ok, numer / denom, np.nan)
+            ok = ok & np.isfinite(mu) & (mu > 0.0)
+        else:
+            h = np.log(mean_t1) - M[1]
+            ok = base & np.isfinite(h) & (h > 0.0)
+            mu = np.full(h.shape, np.nan)
+            root, _, _, _, converged = _solve_mu_ml_array(h[ok])
+            mu[ok] = np.where(converged, root, np.nan)
+            ok = ok & np.isfinite(mu)
+        kernel = (np.where(ok, mu, np.nan), np.where(ok, sigma, np.nan), ok)
+        if param_names == ("mu", "sigma") or g.native is None:
+            theta = np.vstack([mu, sigma])
+        else:
+            native = g.native.from_family(mu, sigma)
+            theta = np.vstack([np.asarray(native[k], dtype=np.float64) for k in param_names])
+    ok = ok & np.all((np.isfinite(theta) & (theta > 0.0)) | ~ok[None, :], axis=0)
+    theta = np.where(ok[None, :], theta, np.nan)
+    return kernel, (theta, ok)
+
+
+def _power_rule_reference(means, p):
+    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = means
+    resid = np.full(p.shape, np.nan)
+    with np.errstate(all="ignore"):
+        numer, denom = _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p)
+        mu = numer / denom
+        sigma = 1.0 / mean_t1
+        ok = (np.isfinite(mean_t1) & (mean_t1 > 0.0) & np.isfinite(numer)
+              & np.isfinite(denom) & (denom > 0.0) & (mu > 0.0))
+        ok = ok & (mu < np.inf)  # new: this raised DomainError in digamma
+        rhs = -np.log(sigma[ok]) - mean_log_t1[ok]
+        resid[ok] = np.log(mu[ok]) - estimators._digamma(mu[ok]) - rhs
+    resid[~np.isfinite(resid)] = np.nan
+    return resid, mu, sigma
+
+
+def _random_means(rng, size):
+    # plausible means (mostly h > 0 and a positive closed-form denominator),
+    # with 15% of the entries NaN, +-inf, +-0, negative, subnormal or huge,
+    # and three columns whose closed-form mu overflows to inf
+    M = np.empty((6, size))
+    M[0] = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    M[1] = np.log(M[0]) - rng.exponential(0.5, size)
+    M[2], M[3], M[5] = rng.standard_normal((3, size))
+    M[4] = M[0] * rng.normal(1.0, 1.0, size)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, 5e-324, 1e-310, 1e308, -1e308]
+    hit = rng.random(M.shape) < 0.15
+    M[hit] = rng.choice(special, int(hit.sum()))
+    M[:, :3] = [[1.0] * 3, [-1.0] * 3, [0.0] * 3, [1e300] * 3, [1.0] * 3, [1.0 - 1e-10] * 3]
+    return M
+
+
+def test_means_kernel_keeps_the_bits_of_both_mask_sequences(monkeypatch):
+    rng = np.random.default_rng(97)
+    size = 4_000
+    M = _random_means(rng, size)
+    spread = rng.random(size) < 0.9
+    column = 10.0 ** rng.uniform(-1.3, 1.3, size)
+    seen = set()
+    for kind in ("closed", "ml"):
+        for p in (1.0, column):
+            want, _ = _study_rule_reference(M, GAMMA, ("mu", "sigma"), kind, spread, p)
+            got = _from_means(M, kind, spread, p)
+            for a, b in zip(got, want):
+                assert a.shape == (size,) and np.array_equal(a, b, equal_nan=True), (kind, p)
+            seen.add(int(got[2].sum()))
+    assert min(seen) > size // 10 and max(seen) < size  # both outcomes occur
+    for spec, names in [("gamma", ("mu", "sigma")), ("gamma", ("alpha", "beta")),
+                        ("generalized-gamma(delta=0.005)", ("alpha", "beta")),
+                        ("chi-squared", ("nu",)), ("rayleigh", ("beta",)),
+                        ("modified-weibull-extension(alpha=2)", ("lam",))]:
+        g = experiment.parse_generator_spec(spec)
+        for kind in ("closed", "ml"):
+            _, want = _study_rule_reference(M, g, names, kind, spread)
+            got = experiment._theta_from_means(M, g, names, kind, spread)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True), (spec, names, kind)
+
+    # the residuals, with the random means standing in for the pointwise terms
+    def fake_terms(g, y, p):
+        return tuple(M[:, : np.size(p)].reshape((6,) + np.shape(p)))
+
+    monkeypatch.setattr(estimators, "_pointwise_terms", fake_terms)
+    resid, mu, sigma = estimators._power_residuals(np.ones(1), GAMMA, column)
+    want_resid, want_mu, want_sigma = _power_rule_reference(M, column)
+    assert np.array_equal(resid, want_resid, equal_nan=True)
+    ok = ~np.isnan(resid)
+    assert np.array_equal(mu[ok], want_mu[ok]) and np.array_equal(sigma[ok], want_sigma[ok])
+    assert size // 10 < ok.sum() < size
+    assert np.isinf(want_mu[:3]).all() and np.isnan(resid[:3]).all()
+
+
+def test_a_native_value_not_finite_and_positive_is_a_named_error():
+    # beta = (1 / (mu sigma))^200 underflows to 0 here; fit_family returned it
+    g = make_generator("generalized-gamma", delta=0.005)
+    s = Sample(np.logspace(250, 300, 20))
+    with pytest.raises(OverflowInValue):
+        fit_family(s, g)
+    with pytest.raises(InvalidSampleError):
+        experiment.native_estimator(g, "closed")(s)
+    M = _mean_last(estimators._pointwise(g, s.values))[:, None]
+    spread = np.ones(1, bool)
+    theta, ok = experiment._theta_from_means(M, g, ("alpha", "beta"), "closed", spread)
+    assert not ok[0] and np.isnan(theta).all()
+    # (mu, sigma) themselves are fine, and so is the ML fit's beta
+    assert experiment._theta_from_means(M, g, ("mu", "sigma"), "closed", spread)[1][0]
+    assert experiment._theta_from_means(M, g, ("alpha", "beta"), "ml", spread)[1][0]
 
 
 def test_fit_new_log_generalized_gamma():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,16 @@ _WRITTEN_OUT_NATIVE = [
      lambda a: (1.0, a), lambda mu, sigma: {"a": sigma}),
     ("traditional-weibull", {"b": 1.0, "c": 1.0, "d": 1.0},
      lambda a: (1.0, a), lambda mu, sigma: {"a": sigma}),
+    ("chi-squared", {},
+     lambda nu: (nu / 2.0, 1.0 / nu), lambda mu, sigma: {"nu": 1.0 / sigma}),
+    ("delta-gamma", {"delta": 2.5},
+     lambda beta: (beta / 2.5, 1.0 / beta), lambda mu, sigma: {"beta": 1.0 / sigma}),
+    ("maxwell-boltzmann", {},
+     lambda beta: (1.5, 1.0 / (3.0 * beta**2)),
+     lambda mu, sigma: {"beta": 1.0 / np.sqrt(3.0 * sigma)}),
+    ("rayleigh", {},
+     lambda beta: (1.0, 1.0 / (2.0 * beta**2)),
+     lambda mu, sigma: {"beta": 1.0 / np.sqrt(2.0 * sigma)}),
 ]
 
 
@@ -315,6 +326,21 @@ def _bisect_140_numeric_inverse(value, d1, z):
         x = np.where((x_new > lo) & (x_new < hi), x_new, x)
     x[far[lo[far] == 0.0]] = 0.0
     return x
+
+
+@pytest.mark.parametrize("b,c,d", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5), (3.0, 0.2, 4.0)])
+def test_traditional_weibull_derivatives_near_zero_against_mpmath(b, c, d):
+    # e^u - 1 for small u = c x^d lost the digits of T' that expm1 keeps
+    g = make_generator("traditional-weibull", b=b, c=c, d=d)
+    with mpmath.workdps(40):
+        for x in (1e-12, 1e-8, 1e-4):
+            xm = mpmath.mpf(x)
+            u = c * xm**d
+            a = b * mpmath.expm1(u) + c * d * xm**d * mpmath.exp(u)
+            d1 = xm ** (b - 1) * a
+            d2 = xm ** (b - 2) * ((b - 1) * a + c * d * xm**d * mpmath.exp(u) * (b + d + c * d * xm**d))
+            assert abs(g.d1(x) / d1 - 1) <= 1e-14, x
+            assert abs(g.d2(x) / d2 - 1) <= 1e-14, x
 
 
 @pytest.mark.parametrize("b,c,d", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5), (3.0, 0.2, 4.0),
