@@ -61,9 +61,7 @@ class FamilyParams:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "power"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise DomainError(f"FamilyParams.{name} must be finite and > 0")
+            positive_array(float(getattr(self, name)), f"FamilyParams.{name}")
 
 
 class Sample:
@@ -147,16 +145,19 @@ def log_pdf(y, params: FamilyParams, g: Generator):
         log_d1 = np.log(np.abs(g.raw.d1(x)))
     if not np.isfinite(log_d1).all():
         raise OverflowInValue("log of the generator derivative left float64 range")
-    out = (
-        np.log(p)
-        + mu * np.log(mu * sigma)
-        - log_gamma(mu)
-        + log_d1
-        + (p - 1.0) * np.log(arr)
-        - log_t1
-        - mu * sigma * t1
-        + mu * log_t1
-    )
+    with np.errstate(all="ignore"):
+        out = (
+            np.log(p)
+            + mu * np.log(mu * sigma)
+            - log_gamma(mu)
+            + log_d1
+            + (p - 1.0) * np.log(arr)
+            - log_t1
+            - mu * sigma * t1
+            + mu * log_t1
+        )
+    if not np.isfinite(out).all():
+        raise OverflowInValue("log density left float64 range")
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -281,8 +282,7 @@ def moment_power_law(q: float, params: FamilyParams, C: float, s: float) -> floa
     q = float(q)
     C = float(C)
     s = float(s)
-    if not (np.isfinite(C) and C > 0.0):
-        raise DomainError("power-law constant C must be finite and > 0")
+    positive_array(C, "power-law constant C")
     if not (np.isfinite(s) and s != 0.0):
         raise DomainError("power-law exponent s must be finite and nonzero")
     mu, sigma, p = params.mu, params.sigma, params.power
@@ -319,8 +319,7 @@ def moment_exists(q: float, g: Generator, p: float = 1.0, mu: Optional[float] = 
     """
     q = float(q)
     p = float(p)
-    if not (np.isfinite(p) and p > 0.0):
-        raise DomainError("power p must be finite and > 0")
+    positive_array(p, "power p")
     if q == 0.0:
         return MomentExistence(True, "trivial", "the zeroth moment is 1")
     fc = g.family_class

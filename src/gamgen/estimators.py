@@ -22,6 +22,7 @@ from .errors import (
     InvalidSampleError,
     NoRootInBracketError,
     OverflowInValue,
+    positive_array,
 )
 from .generators import Generator, inverse_of
 from .special import RngStream, _digamma, _divide, digamma, sample_gamma
@@ -108,9 +109,9 @@ def _pointwise_terms(g: Generator, y: np.ndarray, p=1.0) -> tuple:
     if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
         raise OverflowInValue("generator derivative overflowed float64 range")
     log_y = np.log(y)
-    xl = x * log_y
-    # T may underflow to 0 where ln T is finite; the finiteness checks catch the inf
+    # T may underflow to 0 and x ln y overflow; the callers' finiteness checks catch it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xl = x * log_y
         return t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl
 
 
@@ -160,8 +161,7 @@ def _require_spread(sample: Sample, what: str) -> None:
 
 def _check_power(p) -> float:
     p = float(p)
-    if not (np.isfinite(p) and p > 0.0):
-        raise DomainError("power p must be finite and > 0")
+    positive_array(p, "power p")
     return p
 
 
@@ -456,29 +456,29 @@ def _native_theta(g: Generator, names, mu, sigma, error=None):
     return np.where(good.all(axis=0), theta, np.nan) if error is None else theta
 
 
-def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
-    """Residuals of the profiled mu-score equation at the powers p, with the
-    profile estimates mu and sigma there, as three arrays shaped like p.
-
-    Entry by entry this is _from_means at one power on the flat sample y,
-    then ln mu - psi(mu) + ln sigma + mean ln T, NaN where _from_means
-    fails or it is not finite. All of p takes one _pointwise_terms pass and one digamma
-    pass; more than one power take the means of the (k, n) terms, a single
-    power (faster) those of the (6, n) rows of _pointwise. A block that
-    overflows is redone one power at a time, so the overflow marks only its
-    own powers. The spread check is left to the caller.
-    """
+def _profile_residual(sample: Sample, g: Generator, p: float):
+    """The residual ln mu - psi(mu) + ln sigma + mean ln T at the power p,
+    with mu = profile_mu and sigma = profile_sigma there, as Python floats;
+    all NaN where a profile raises or the residual is not finite."""
     try:
-        if p.size == 1:
-            means = _mean_last(_pointwise(g, y, float(p[0])))[:, None]
-        else:
-            terms = _pointwise_terms(g, y, p[:, None])
-            means = [_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms]
-    except OverflowInValue:
-        if p.size == 1:
-            return (np.full(1, np.nan),) * 3
-        parts = [_power_residuals(y, g, p[i : i + 1]) for i in range(p.size)]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        mu = profile_mu(sample, g, p)
+        sigma = profile_sigma(sample, g, p)
+    except (InvalidSampleError, OverflowInValue):
+        return (np.nan,) * 3
+    rhs = -float(np.log(sigma)) - float(_means(sample, g, p)[1])
+    resid = float(np.log(mu)) - _digamma(mu) - rhs  # nan for an infinite mu
+    return (resid, mu, sigma) if np.isfinite(resid) else (np.nan,) * 3
+
+
+def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
+    """_profile_residual at each power of the block p on the flat sample y,
+    as three arrays shaped like p, with the same bits: one _pointwise_terms
+    pass, whose (k, n) terms sum in the order of _pointwise's (6, n) rows,
+    one _from_means call and one digamma pass. A power that overflows
+    raises OverflowInValue for the whole block; the caller checks spread.
+    """
+    terms = _pointwise_terms(g, y, p[:, None])
+    means = [_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms]
     mu, sigma, ok = _from_means(means, "closed", True, p)
     resid = np.full(p.shape, np.nan)
     with np.errstate(all="ignore"):
@@ -499,10 +499,10 @@ def fit_full_ml(
     counted; no sign change among feasible grid points raises.
 
     The grid is evaluated in blocks of _GRID_BLOCK_VALUES // n powers, one
-    _pointwise_terms pass per block, and each secant step is a block of one
-    power. Every operation is elementwise and the means sum in an order
-    that does not depend on the block, so each grid point and step has the
-    bits of profile_mu and profile_sigma at its own power.
+    _power_residuals pass per block, and a block that overflows is redone
+    one power at a time, so the overflow marks only its own powers. Those
+    powers and each secant step run _profile_residual, the scalar profiles.
+    Either route gives a power the bits of profile_mu and profile_sigma.
     """
     p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
     if not (0.0 < p_lo < p_hi and np.isfinite(p_hi)):
@@ -511,7 +511,14 @@ def fit_full_ml(
     y = sample.values
     grid = np.geomspace(p_lo, p_hi, 41)
     size = max(1, _GRID_BLOCK_VALUES // y.size)
-    blocks = [_power_residuals(y, g, grid[i : i + size]) for i in range(0, grid.size, size)]
+
+    def block(powers):
+        try:
+            return _power_residuals(y, g, powers)
+        except OverflowInValue:
+            return np.array([_profile_residual(sample, g, p) for p in powers.tolist()]).T
+
+    blocks = [block(grid[i : i + size]) for i in range(0, grid.size, size)]
     resid, mu, sigma = (np.concatenate(col) for col in zip(*blocks))
     infeasible = int(np.isnan(resid).sum())
     residuals = list(zip(grid.tolist(), resid.tolist(), mu.tolist(), sigma.tolist()))
@@ -534,9 +541,6 @@ def fit_full_ml(
             f"({infeasible} of {grid.size} grid points infeasible)"
         )
 
-    def residual_at(p):
-        return (float(v[0]) for v in _power_residuals(y, g, np.array([p])))
-
     pa, fa, pb, fb = found
     best = None
     for k in range(200):
@@ -545,11 +549,11 @@ def fit_full_ml(
         width = pb - pa
         if not (pa + 0.1 * width < mid < pb - 0.1 * width):
             mid = 0.5 * (pa + pb)
-        resid, mu_m, sigma_m = residual_at(mid)
+        resid, mu_m, sigma_m = _profile_residual(sample, g, mid)
         if np.isnan(resid):
             # infeasible interior point: fall back to plain bisection steps
             mid = 0.5 * (pa + pb)
-            resid, mu_m, sigma_m = residual_at(mid)
+            resid, mu_m, sigma_m = _profile_residual(sample, g, mid)
             if np.isnan(resid):
                 raise ConvergenceError(
                     "power equation became infeasible inside the bracket"
@@ -628,8 +632,7 @@ def score_vector(
 ) -> ScoreVector:
     """Log-likelihood partials in (mu, sigma, power) at the given point."""
     mu, sigma, p = float(mu), float(sigma), float(power)
-    if min(mu, sigma, p) <= 0.0:
-        raise DomainError("score requires mu, sigma, power > 0")
+    FamilyParams(mu, sigma, p)  # the point's one check
     n = sample.n
     mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = (
         float(v) for v in _means(sample, g, p)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bootstrap import _resample_estimates, relative_bias, rmse
 from .distribution import FamilyParams, Sample, sample
-from .errors import DataError, DomainError, GamgenError, InvalidSampleError
+from .errors import DataError, DomainError, GamgenError, InvalidSampleError, positive_array
 from .estimators import (
     _KIND_ROWS,
     _from_means,
@@ -99,8 +99,7 @@ class ExperimentConfig:
             if not t:
                 raise DomainError("theta grid entries must name at least one parameter")
             for k, v in t.items():
-                if not (np.isfinite(v) and v > 0.0):
-                    raise DomainError(f"theta parameter {k} must be finite and > 0")
+                positive_array(float(v), f"theta parameter {k}")
 
 
 @dataclass(frozen=True)

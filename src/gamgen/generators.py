@@ -642,8 +642,7 @@ def make_generator(name: str, **shape_params) -> Generator:
     builder = _BUILDERS[key]
     params = {k: float(v) for k, v in shape_params.items()}
     for k, v in params.items():
-        if not (np.isfinite(v) and v > 0.0):
-            raise DomainError(f"shape parameter {k}={v} must be finite and > 0")
+        positive_array(v, f"shape parameter {k}={v}")
     try:
         return builder(**params)
     except TypeError:

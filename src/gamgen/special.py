@@ -567,10 +567,8 @@ def sample_gamma(shape, scale, rng: RngStream, size=None):
     """
     shape = float(shape)
     scale = float(scale)
-    if not (np.isfinite(shape) and shape > 0.0):
-        raise DomainError("sample_gamma requires shape > 0")
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DomainError("sample_gamma requires scale > 0")
+    positive_array(shape, "sample_gamma shape")
+    positive_array(scale, "sample_gamma scale")
     n = 1 if size is None else int(size)
     if n < 0:
         raise DomainError("size must be nonnegative")

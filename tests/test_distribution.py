@@ -25,11 +25,13 @@ from gamgen import (
     moment_exists,
     moment_power_law,
     population_mu_limit,
+    profile_sigma,
     quantile,
     sample,
     sample_gamma,
     sf,
 )
+from gamgen import experiment
 
 from conftest import CATALOG_SWEEP, sweep_ids
 
@@ -270,6 +272,39 @@ def test_power_overflow_is_named():
         quantile(1.0 - 1e-12, wide, g)
     with pytest.raises(OverflowInValue):
         isf(np.array([1e-12]), wide, g)
+
+
+def test_a_log_density_past_the_float64_range_raises():
+    # mu sigma T(y) overflows: log_pdf warned and returned -inf
+    with pytest.raises(OverflowInValue):
+        log_pdf(1e300, FamilyParams(2.0, 1e200), make_generator("gamma"))
+    with pytest.raises(OverflowInValue):
+        log_pdf(np.array([2.0, 1e300]), FamilyParams(2.0, 1e200), make_generator("gamma"))
+
+
+def test_every_scalar_positive_check_rejects_what_it_rejected():
+    # each check goes through errors.positive_array: not finite or <= 0 is a
+    # DomainError, and an array where a scalar belongs is still rejected
+    g = make_generator("inverse-gamma")
+    sites = [
+        lambda v: FamilyParams(v, 1.0),
+        lambda v: FamilyParams(1.0, v),
+        lambda v: FamilyParams(1.0, 1.0, v),
+        lambda v: moment_power_law(1.0, FamilyParams(3.0, 1.0), v, 1.0),
+        lambda v: moment_exists(1.0, g, v),
+        lambda v: profile_sigma(Sample([1.0, 2.0]), g, v),
+        lambda v: experiment.ExperimentConfig(g.name, ({"mu": v, "sigma": 1.0},), (5,), 2, 0, 1),
+        lambda v: make_generator("weibull", delta=v),
+        lambda v: sample_gamma(v, 1.0, RngStream(1, 0)),
+        lambda v: sample_gamma(1.0, v, RngStream(1, 0)),
+    ]
+    for site in sites:
+        site(1.5)
+        for bad in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                site(bad)
+        with pytest.raises((TypeError, ValueError)):
+            site(np.array([1.0, 2.0]))
 
 
 def test_sampler_transformed_mean():

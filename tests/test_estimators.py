@@ -45,7 +45,7 @@ from gamgen.estimators import (
     _solve_mu_ml_one,
 )
 
-from conftest import POWER_LAW_SWEEP, random_param_points, sweep_ids
+from conftest import CATALOG_SWEEP, POWER_LAW_SWEEP, random_param_points, sweep_ids
 
 GAMMA = make_generator("gamma")
 S123 = Sample([1.0, 2.0, 3.0])
@@ -618,6 +618,43 @@ def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(n):
     assert "fit" in kinds
 
 
+def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation_over_the_catalog(monkeypatch):
+    # every catalog generator and both wide brackets, with samples so spread
+    # that grid blocks (one of 41 powers at n = 20, of 5 at n = 1000)
+    # overflow and are redone one power at a time
+    overflowed = []
+
+    def counting(y, g, p):
+        try:
+            return power_residuals(y, g, p)
+        except OverflowInValue:
+            overflowed.append(p.size)
+            raise
+
+    power_residuals = estimators._power_residuals
+    monkeypatch.setattr(estimators, "_power_residuals", counting)
+    fallback = []
+    for gi, (name, shapes) in enumerate(CATALOG_SWEEP):
+        g = make_generator(name, **shapes)
+        samples = [np.geomspace(1e-4, 1e4, n) for n in (20, 1000)]
+        for pi, (mu, sigma, p) in enumerate(FULL_ML_POINTS):
+            try:
+                samples.append(draw(20, FamilyParams(mu, sigma, p), g, RngStream(73, 10 * gi + pi)))
+            except GamgenError:
+                continue
+        for y in samples:
+            for bracket in ((0.05, 20.0), (0.01, 100.0)):
+                before = len(overflowed)
+                got = _fit_outcome(fit_full_ml, y, g, bracket)
+                want = _fit_outcome(_per_point_fit_full_ml, y, g, bracket)
+                assert got == want, (name, y[:2], bracket)
+                if len(overflowed) > before:
+                    fallback.append(got if isinstance(got, FullMlFit) else got[0])
+    assert overflowed and max(overflowed) > 1
+    # an overflowing block still leaves its feasible powers to the root search
+    assert any(isinstance(f, FullMlFit) and f.infeasible_points < 41 for f in fallback)
+
+
 @pytest.mark.parametrize("n", [20, 1000, 2_000, 15_001])
 def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n):
     y = draw(n, FamilyParams(2.0, 1.0, 1.5), GAMMA, RngStream(67, 0))
@@ -771,6 +808,29 @@ def test_a_native_value_not_finite_and_positive_is_a_named_error():
     # (mu, sigma) themselves are fine, and so is the ML fit's beta
     assert experiment._theta_from_means(M, g, ("mu", "sigma"), "closed", spread)[1][0]
     assert experiment._theta_from_means(M, g, ("alpha", "beta"), "ml", spread)[1][0]
+
+
+def test_an_overflowing_pointwise_product_raises_no_warning():
+    # x ln y overflows at p = 100; numpy warned before the named error or fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowInValue):
+            profile_mu(Sample([2.0, 1200.0]), GAMMA, 100.0)
+        fit_full_ml(Sample([2.0, 3.0, 1200.0]), GAMMA, (0.01, 100.0))
+        score_vector(Sample([2.0, 1200.0]), GAMMA, 2.0, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("point", [(2.0, math.nan, 1.0), (2.0, math.inf, 1.0),
+                                   (2.0, 1.0, math.nan)], ids=["sigma-nan", "sigma-inf", "power-nan"])
+def test_score_vector_rejects_a_point_not_finite_and_positive(point):
+    # these returned NaN silently, warned, or raised OverflowInValue
+    with pytest.raises(DomainError):
+        score_vector(S123, GAMMA, *point)
+
+
+def test_log_likelihood_past_the_float64_range_raises():
+    with pytest.raises(OverflowInValue):
+        log_likelihood(Sample([2.0, 1e300]), GAMMA, 2.0, 1e200)
 
 
 def test_fit_new_log_generalized_gamma():
