@@ -61,7 +61,8 @@ class FamilyParams:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "power"):
-            positive_array(float(getattr(self, name)), f"FamilyParams.{name}")
+            value = positive_array(float(getattr(self, name)), f"FamilyParams.{name}")
+            object.__setattr__(self, name, value.item())
 
 
 class Sample:

@@ -160,9 +160,7 @@ def _require_spread(sample: Sample, what: str) -> None:
 
 
 def _check_power(p) -> float:
-    p = float(p)
-    positive_array(p, "power p")
-    return p
+    return positive_array(float(p), "power p").item()
 
 
 def _positive_total(mean_t1) -> float:
@@ -499,10 +497,10 @@ def fit_full_ml(
     counted; no sign change among feasible grid points raises.
 
     The grid is evaluated in blocks of _GRID_BLOCK_VALUES // n powers, one
-    _power_residuals pass per block, and a block that overflows is redone
-    one power at a time, so the overflow marks only its own powers. Those
-    powers and each secant step run _profile_residual, the scalar profiles.
-    Either route gives a power the bits of profile_mu and profile_sigma.
+    _power_residuals pass per block; a block of several powers that
+    overflows is redone one power at a time, so the overflow marks only its
+    own. Those powers and each secant step run _profile_residual. Either
+    route gives a power the bits of profile_mu and profile_sigma.
     """
     p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
     if not (0.0 < p_lo < p_hi and np.isfinite(p_hi)):
@@ -516,6 +514,8 @@ def fit_full_ml(
         try:
             return _power_residuals(y, g, powers)
         except OverflowInValue:
+            if powers.size == 1:  # its scalar pass would overflow too
+                return (np.full(1, np.nan),) * 3
             return np.array([_profile_residual(sample, g, p) for p in powers.tolist()]).T
 
     blocks = [block(grid[i : i + size]) for i in range(0, grid.size, size)]

@@ -565,10 +565,8 @@ def sample_gamma(shape, scale, rng: RngStream, size=None):
     boost G(a) = G(a+1) * U^(1/a). Returns a float when ``size`` is None,
     else an ndarray of the requested size. Every draw is strictly positive.
     """
-    shape = float(shape)
-    scale = float(scale)
-    positive_array(shape, "sample_gamma shape")
-    positive_array(scale, "sample_gamma scale")
+    shape = positive_array(float(shape), "sample_gamma shape").item()
+    scale = positive_array(float(scale), "sample_gamma scale").item()
     n = 1 if size is None else int(size)
     if n < 0:
         raise DomainError("size must be nonnegative")

@@ -283,8 +283,9 @@ def test_a_log_density_past_the_float64_range_raises():
 
 
 def test_every_scalar_positive_check_rejects_what_it_rejected():
-    # each check goes through errors.positive_array: not finite or <= 0 is a
-    # DomainError, and an array where a scalar belongs is still rejected
+    # each check goes through errors.positive_array on float(value): not
+    # finite or <= 0 is a DomainError, an array where a scalar belongs is
+    # still rejected, and a numeric string passes at every site
     g = make_generator("inverse-gamma")
     sites = [
         lambda v: FamilyParams(v, 1.0),
@@ -300,11 +301,16 @@ def test_every_scalar_positive_check_rejects_what_it_rejected():
     ]
     for site in sites:
         site(1.5)
+        site("1.5")
         for bad in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError):
                 site(bad)
         with pytest.raises((TypeError, ValueError)):
             site(np.array([1.0, 2.0]))
+    # FamilyParams keeps the float it checked, never the string or array
+    params = FamilyParams("2", np.float64(0.5), np.array(1.5))
+    assert params == FamilyParams(2.0, 0.5, 1.5)
+    assert {type(v) for v in (params.mu, params.sigma, params.power)} == {float}
 
 
 def test_sampler_transformed_mean():

@@ -593,36 +593,11 @@ def test_pointwise_terms_at_a_column_of_powers_keep_the_bits_of_each_power(n):
 
 
 @pytest.mark.parametrize("n", [3, 20, 1000, 15_001])
-def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(n):
-    kinds = []
-    for gi, (name, shapes) in enumerate(FULL_ML_GENERATORS):
-        g = make_generator(name, **shapes)
-        for pi, (mu, sigma, p) in enumerate(FULL_ML_POINTS):
-            if n > 1000 and pi != 1:
-                continue
-            try:
-                y = draw(n, FamilyParams(mu, sigma, p), g, RngStream(61, 10 * gi + pi))
-            except GamgenError:
-                continue
-            for bracket in FULL_ML_BRACKETS:
-                got = _fit_outcome(fit_full_ml, y, g, bracket)
-                want = _fit_outcome(_per_point_fit_full_ml, y, g, bracket)
-                assert got == want, (name, mu, sigma, p, bracket)
-                if isinstance(got, FullMlFit):
-                    kinds.append("infeasible" if got.infeasible_points else "fit")
-                else:
-                    kinds.append(got[0])
-    if n == 3:
-        # the grids cross infeasible points, and some have no sign change
-        assert {"fit", "infeasible", "NoRootInBracketError"} <= set(kinds)
-    assert "fit" in kinds
-
-
-def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation_over_the_catalog(monkeypatch):
-    # every catalog generator and both wide brackets, with samples so spread
-    # that grid blocks (one of 41 powers at n = 20, of 5 at n = 1000)
-    # overflow and are redone one power at a time
-    overflowed = []
+def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(monkeypatch, n):
+    # at n = 20 every catalog generator runs; at every n so does a sample so
+    # spread that grid blocks overflow (one block of 41 powers at n = 20, of
+    # 5 at n = 1000, of 1 at n = 15 001)
+    overflowed, profiled = [], []
 
     def counting(y, g, p):
         try:
@@ -631,28 +606,48 @@ def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation_over_the_catalog(mon
             overflowed.append(p.size)
             raise
 
+    def recording(sample, g, p):
+        profiled.append(p)
+        return profile_residual(sample, g, p)
+
     power_residuals = estimators._power_residuals
+    profile_residual = estimators._profile_residual
     monkeypatch.setattr(estimators, "_power_residuals", counting)
-    fallback = []
-    for gi, (name, shapes) in enumerate(CATALOG_SWEEP):
+    monkeypatch.setattr(estimators, "_profile_residual", recording)
+    kinds, fallback = [], []
+    for gi, (name, shapes) in enumerate(CATALOG_SWEEP if n == 20 else FULL_ML_GENERATORS):
         g = make_generator(name, **shapes)
-        samples = [np.geomspace(1e-4, 1e4, n) for n in (20, 1000)]
+        samples = [np.geomspace(1e-4, 1e4, n)]
         for pi, (mu, sigma, p) in enumerate(FULL_ML_POINTS):
+            if n > 1000 and pi != 1:
+                continue
             try:
-                samples.append(draw(20, FamilyParams(mu, sigma, p), g, RngStream(73, 10 * gi + pi)))
+                samples.append(draw(n, FamilyParams(mu, sigma, p), g, RngStream(61, 10 * gi + pi)))
             except GamgenError:
                 continue
         for y in samples:
-            for bracket in ((0.05, 20.0), (0.01, 100.0)):
+            for bracket in FULL_ML_BRACKETS:
                 before = len(overflowed)
                 got = _fit_outcome(fit_full_ml, y, g, bracket)
                 want = _fit_outcome(_per_point_fit_full_ml, y, g, bracket)
                 assert got == want, (name, y[:2], bracket)
+                kind = got[0] if isinstance(got, tuple) else (
+                    "infeasible" if got.infeasible_points else "fit")
+                kinds.append(kind)
                 if len(overflowed) > before:
-                    fallback.append(got if isinstance(got, FullMlFit) else got[0])
-    assert overflowed and max(overflowed) > 1
-    # an overflowing block still leaves its feasible powers to the root search
-    assert any(isinstance(f, FullMlFit) and f.infeasible_points < 41 for f in fallback)
+                    fallback.append(kind)
+    if n == 3:
+        # the grids cross infeasible points, and some have no sign change
+        assert {"fit", "infeasible", "NoRootInBracketError"} <= set(kinds)
+    assert "fit" in kinds
+    # a fit still comes out where grid blocks overflowed
+    assert overflowed and "infeasible" in fallback
+    if n > estimators._GRID_BLOCK_VALUES // 2:
+        # a one-power block that overflows is not evaluated a second time
+        grids = np.concatenate([np.geomspace(*b, 41) for b in FULL_ML_BRACKETS])
+        assert not set(profiled) & set(grids.tolist())
+    else:
+        assert max(overflowed) > 1
 
 
 @pytest.mark.parametrize("n", [20, 1000, 2_000, 15_001])
