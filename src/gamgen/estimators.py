@@ -437,21 +437,31 @@ def _from_means(M, kind: str, ok, p=1.0):
 def _native_theta(g: Generator, names, mu, sigma, error=None):
     """The parameters names of g at (mu, sigma) as a (k,) + shape array, all
     NaN for an entry where one is not finite and > 0, or error raised there
-    if given. Scalars go in as numpy floats, which round as Python floats
-    do but give inf or 0 where Python would raise."""
-    if not isinstance(mu, np.ndarray):
-        mu, sigma = np.float64(mu), np.float64(sigma)
+    if given. Scalars go in as one-element arrays, so a map's ** runs
+    numpy's array loop, whose last bits can differ from the C pow of a
+    Python or numpy float: one sample's estimate then has the bits of its
+    entry in a bootstrap's (B,) arrays. Arrays give inf or 0 where Python
+    would raise."""
+    one = not isinstance(mu, np.ndarray)
+    if one:
+        mu, sigma = np.array([mu]), np.array([sigma])
     with np.errstate(all="ignore"):
         if names == ("mu", "sigma") or g.native is None:
             values = (mu, sigma)
         else:
             native = g.native.from_family(mu, sigma)
             values = [native[k] for k in names]
+    if one:  # a Python float test skips numpy's per-call cost
+        theta = np.concatenate(values)
+        good = all(0.0 < v < np.inf for v in theta.tolist())
+    else:
         theta = np.array(values, dtype=np.float64)
-    good = (theta > 0.0) & (theta < np.inf)
-    if error is not None and not good.all():
+        good = ((theta > 0.0) & (theta < np.inf)).all(axis=0)
+    if error is None:
+        return np.where(good, theta, np.nan)
+    if not (good if one else good.all()):
         raise error("parameter estimate is not finite and > 0")
-    return np.where(good.all(axis=0), theta, np.nan) if error is None else theta
+    return theta
 
 
 def _profile_residual(sample: Sample, g: Generator, p: float):
@@ -630,22 +640,31 @@ def estimating_equation_bias(
 def score_vector(
     sample: Sample, g: Generator, mu: float, sigma: float, power: float = 1.0
 ) -> ScoreVector:
-    """Log-likelihood partials in (mu, sigma, power) at the given point."""
+    """Log-likelihood partials in (mu, sigma, power) at the given point.
+
+    Raises OverflowInValue where a pointwise mean it reads, or a partial,
+    is not finite. The partials are summed in Python floats, which overflow
+    to inf without a warning.
+    """
     mu, sigma, p = float(mu), float(sigma), float(power)
     FamilyParams(mu, sigma, p)  # the point's one check
     n = sample.n
-    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = (
-        float(v) for v in _means(sample, g, p)
-    )
+    means = [float(v) for v in _means(sample, g, p)]
+    if not np.isfinite(means).all():
+        raise OverflowInValue("a pointwise mean of the score is not finite")
+    mean_t1, mean_log_t1, mean_log_y, mean_w, mean_a, mean_r = means
     d_mu = n * (
-        np.log(mu) + np.log(sigma) + 1.0 - digamma(mu) - sigma * mean_t1 + mean_log_t1
+        float(np.log(mu)) + float(np.log(sigma)) + 1.0 - digamma(mu)
+        - sigma * mean_t1 + mean_log_t1
     )
     d_sigma = n * (mu / sigma - mu * mean_t1)
     # T''/T' x ln y = w + r, so the power score needs no further pointwise row
     d_power = n * (
         1.0 / p + mean_log_y + mean_w - mu * sigma * mean_a + mu * mean_r
     )
-    return ScoreVector(float(d_mu), float(d_sigma), float(d_power))
+    if not np.isfinite((d_mu, d_sigma, d_power)).all():
+        raise OverflowInValue("a score partial is not finite")
+    return ScoreVector(d_mu, d_sigma, d_power)
 
 
 def log_likelihood(

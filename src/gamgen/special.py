@@ -16,7 +16,11 @@ larger inputs run in arrays. The float form runs the array form's steps:
 + - * / and comparisons on Python floats, which round as numpy's elementwise
 loops do, and every transcendental through its numpy ufunc on a scalar,
 which runs the array loop; so a float has the bits of its entry in an array
-pass, without numpy's per-call cost.
+pass, without numpy's per-call cost. An array pass of the incomplete gamma
+pair with one shape a (every cdf and sf) keeps a and ln Gamma(a) as Python
+floats, which the kernels take as they are; its continued fraction runs in
+place and gathers the entries still running only once half of those it
+carries have stopped.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ _SERIES_MAX = 10000  # terms of either incomplete-gamma expansion
 
 def _lower_series(a, x, log_prefactor):
     """P(a,x) for 0 < x < a+1 by the regularized power series, for floats or
-    arrays.
+    arrays; a is a float, or an array shaped like x.
 
     Every entry takes every term, in place, and the stop test runs once every
     8 terms, after terms 7, 15, ..., 9999: all entries are done once each
@@ -200,14 +204,24 @@ def _lower_series(a, x, log_prefactor):
 
 
 def _upper_cf(a, x, log_prefactor):
-    """Q(a,x) for x >= a+1 by the modified Lentz continued fraction.
+    """Q(a,x) for x >= a+1 by the modified Lentz continued fraction
+    (Thompson & Barnett, 1986), for floats or arrays; a is a float, or an
+    array shaped like x.
 
-    Only the unfinished entries are carried, gathered by index: an entry
-    stops after the step whose factor delta is within 1e-16 of 1 (or is
-    nan), and its h is written back then. Each entry's arithmetic is that of
-    the whole-array recurrence, so every h keeps its bits. An entry that
+    An entry stops after the step whose factor delta is within 1e-16 of 1
+    (or is nan), and its h is recorded at that step. An array updates b, c,
+    d and h in place; an entry that has stopped keeps stepping with the
+    others, which is elementwise and never touches its recorded h, until
+    half of the entries carried have stopped: then the live ones are
+    gathered by index, once, and the rest dropped. Each entry's arithmetic
+    is that of the whole-array recurrence, so every h keeps its bits; with a
+    float a the step's an is a float, as in the float form. An entry that
     needs 9 999 steps or more raises ConvergenceError. A float takes the
     same steps, with the same stop.
+
+    The tiny clamps stay: in exact arithmetic every D_i = 1/d_i and C_i is at
+    least i+1 on x >= a+1, but in floats b = x + 1 - a is 0 where
+    a + 1 rounds to a (a >= 2^53, x = a), and there the clamp on d fires.
     """
     tiny = 1e-300
     b = x + 1.0 - a
@@ -228,27 +242,43 @@ def _upper_cf(a, x, log_prefactor):
             if not abs(delta - 1.0) >= 1e-16:
                 return np.exp(log_prefactor) * h
         raise ConvergenceError("incomplete gamma continued fraction did not converge")
+    one_a = isinstance(a, float)
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d
+    h = d.copy()
+    delta = np.empty_like(h)
     out = np.empty_like(h)
     idx = np.arange(x.size)
+    live = np.ones(x.size, dtype=bool)
+    n_live = x.size
     for i in range(1, _SERIES_MAX):
-        if idx.size == 0:
+        if n_live == 0:
             break
         an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        going = np.abs(delta - 1.0) >= 1e-16
-        if not going.all():
-            out[idx[~going]] = h[~going]
-            idx, a, b, c, d, h = (v[going] for v in (idx, a, b, c, d, h))
+        b += 2.0
+        d *= an
+        d += b
+        np.copyto(d, tiny, where=np.abs(d) < tiny)
+        np.divide(an, c, out=c)
+        c += b
+        np.copyto(c, tiny, where=np.abs(c) < tiny)
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delta)
+        h *= delta
+        delta -= 1.0
+        going = np.abs(delta, out=delta) >= 1e-16
+        stop = live > going  # live and not going: stops at this step
+        if stop.any():
+            out[idx[stop]] = h[stop]
+            live &= going
+            n_live = np.count_nonzero(live)
+            if 2 * n_live <= live.size:
+                keep = np.flatnonzero(live)
+                idx, b, c, d, h = idx[keep], b[keep], c[keep], d[keep], h[keep]
+                if not one_a:
+                    a = a[keep]
+                live = np.ones(n_live, dtype=bool)
+                delta = np.empty_like(h)
     else:
         raise ConvergenceError("incomplete gamma continued fraction did not converge")
     return np.exp(log_prefactor) * out
@@ -294,8 +324,12 @@ def _gamma_pq(a, x, lg_a):
     The power series gives P on x < a+1 and the continued fraction gives Q
     elsewhere, each to relative machine precision; the other one is its
     complement, except that for a < 0.1, where Q is already the smaller tail
-    below a+1, Q comes from its own series there. Python floats give floats;
-    otherwise the arguments broadcast and the results are arrays.
+    below a+1, Q comes from its own series there. Python floats give floats.
+    Otherwise x is an array: with a and lg_a Python floats (one shape, as in
+    every cdf and sf) they stay floats in the kernels, so no constant array
+    is built or gathered; with arrays the arguments broadcast. The lower and
+    upper entries are indexed once, with np.flatnonzero, and each kernel
+    runs on its gathered entries, scattered back through the same indices.
     """
     if isinstance(x, float):
         if x == 0.0:
@@ -308,25 +342,39 @@ def _gamma_pq(a, x, lg_a):
             q = float(_upper_cf(a, x, log_pref))
             p = 1.0 - q
         return _clip01(p), _clip01(q)
-    a, x, lg_a = np.broadcast_arrays(a, x, lg_a)
-    p = np.zeros(x.shape)
-    q = np.ones(x.shape)
+    one = isinstance(a, float)
+    if not one:
+        a, x, lg_a = np.broadcast_arrays(a, x, lg_a)
+        a, lg_a = a.ravel(), lg_a.ravel()
+    shape = x.shape
+    x = x.ravel()
+
+    def part(i):  # a, ln Gamma(a) and x at the indices i
+        return (a, lg_a, x[i]) if one else (a[i], lg_a[i], x[i])
+
+    p = np.zeros(x.size)
+    q = np.ones(x.size)
     pos = x > 0.0
-    log_pref = a * np.log(np.where(pos, x, 1.0)) - x - lg_a
-    lower = pos & (x < a + 1.0)
-    if lower.any():
-        p[lower] = _lower_series(a[lower], x[lower], log_pref[lower])
-        q[lower] = 1.0 - p[lower]
-        direct = lower & (a < _SMALL_A) & (p > 0.5)
-        if direct.any():
-            q[direct] = _upper_small_a(a[direct], x[direct])
-    upper = pos & ~lower
-    if upper.any():
-        q[upper] = _upper_cf(a[upper], x[upper], log_pref[upper])
-        p[upper] = 1.0 - q[upper]
+    below = x < a + 1.0
+    lower = np.flatnonzero(pos & below)
+    upper = np.flatnonzero(pos > below)  # x > 0 and not below a+1
+    if lower.size:
+        al, lgl, xl = part(lower)
+        pl = _lower_series(al, xl, al * np.log(xl) - xl - lgl)
+        p[lower] = pl
+        q[lower] = 1.0 - pl
+        direct = lower[(al < _SMALL_A) & (pl > 0.5)]
+        if direct.size:
+            ad, _, xd = part(direct)
+            q[direct] = _upper_small_a(ad, xd)
+    if upper.size:
+        au, lgu, xu = part(upper)
+        qu = _upper_cf(au, xu, au * np.log(xu) - xu - lgu)
+        q[upper] = qu
+        p[upper] = 1.0 - qu
     np.clip(p, 0.0, 1.0, out=p)
     np.clip(q, 0.0, 1.0, out=q)
-    return p, q
+    return p.reshape(shape), q.reshape(shape)
 
 
 def _clip01(v: float) -> float:
@@ -341,12 +389,12 @@ def _incomplete_gamma(a, x, name: str):
     x_arr = np.asarray(x, dtype=np.float64)
     if x_arr.size and (not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0)):
         raise DomainError(f"{name} requires x >= 0")
-    if a_arr.size == 1 and x_arr.size == 1:
-        a1 = a_arr.item()
-        p, q = _gamma_pq(a1, x_arr.item(), log_gamma(a1))
-        shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
-        return (np.full(shape, p), np.full(shape, q)) if shape else (p, q)
-    return _gamma_pq(a_arr, x_arr, log_gamma(a_arr))
+    if a_arr.size != 1:
+        return _gamma_pq(a_arr, x_arr, log_gamma(a_arr))
+    a1 = a_arr.item()  # one shape: a and ln Gamma(a) stay floats
+    p, q = _gamma_pq(a1, x_arr.item() if x_arr.size == 1 else x_arr, log_gamma(a1))
+    shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
+    return (np.full(shape, p), np.full(shape, q)) if shape else (p, q)
 
 
 def reg_lower_gamma(a, x):

@@ -338,6 +338,19 @@ def test_native_evaluator_matches_per_resample_calls():
                     slow = _bootstrap_outcome(y, lambda s: est(s), B, stream)
                     for a, b in zip(fast, slow):
                         assert np.array_equal(a, b)
+    # maps that raise to a power other than 1: numpy's array ** and C pow
+    # differ in the last bit on some bases, so both paths must use the first
+    for spec in ("weibull(delta=2)", "generalized-gamma(delta=2)",
+                 "generalized-gamma(delta=0.7)", "inverse-weibull(delta=1.5)"):
+        g = parse_generator_spec(spec)
+        for seed in range(16):
+            y = draw(20, FamilyParams(2.0, 1.0), g, RngStream(41, seed))
+            for kind in ("closed", "ml"):
+                est = native_estimator(g, kind)
+                fast = _bootstrap_outcome(y, est, 50, seed)
+                slow = _bootstrap_outcome(y, lambda s: est(s), 50, seed)
+                for a, b in zip(fast, slow):
+                    assert np.array_equal(a, b), (spec, seed, kind)
 
 
 def test_native_estimator_runs_once_per_bootstrap(monkeypatch):

@@ -812,7 +812,17 @@ def test_an_overflowing_pointwise_product_raises_no_warning():
         with pytest.raises(OverflowInValue):
             profile_mu(Sample([2.0, 1200.0]), GAMMA, 100.0)
         fit_full_ml(Sample([2.0, 3.0, 1200.0]), GAMMA, (0.01, 100.0))
-        score_vector(Sample([2.0, 1200.0]), GAMMA, 2.0, 1.0, 100.0)
+        # mean w, a and r are inf: d_power was NaN, with no error
+        with pytest.raises(OverflowInValue):
+            score_vector(Sample([2.0, 1200.0]), GAMMA, 2.0, 1.0, 100.0)
+
+
+def test_score_vector_raises_where_a_partial_is_not_finite():
+    # every mean is finite, but sigma * mean T overflows: d_mu was -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowInValue):
+            score_vector(Sample([1e10, 2e10]), GAMMA, 1.0, 1e300, 1.0)
 
 
 @pytest.mark.parametrize("point", [(2.0, math.nan, 1.0), (2.0, math.inf, 1.0),

@@ -516,6 +516,61 @@ def test_incomplete_gamma_series_keeps_its_term_cap():
         special._lower_series(*(float(v[0]) for v in args))
 
 
+def test_incomplete_gamma_kernels_keep_the_masked_bits_over_mixed_shapes():
+    # one array of shapes from 1e-3 to 1e5, shuffled, so entries stop at
+    # scattered steps and the fraction compacts its live entries many times
+    rng = np.random.default_rng(20261020)
+    shapes = np.repeat(np.geomspace(1e-3, 1e5, 33), 24)
+    edge = shapes + 1.0
+    below = edge * rng.uniform(1e-6, 1.0, shapes.size)
+    above = edge * np.exp(rng.uniform(0.0, np.log(1e3), shapes.size))
+    above[::24] = edge[::24]
+    assert np.all(below < edge) and np.all(above >= edge)
+    for kernel, masked, x in ((special._lower_series, _masked_lower_series, below),
+                              (special._upper_cf, _masked_upper_cf, above)):
+        order = rng.permutation(shapes.size)
+        a, x = shapes[order], x[order]
+        args = (a, x, a * np.log(x) - x - log_gamma(a))
+        assert np.array_equal(kernel(*args), masked(*args))
+        # a float shape gives the bits of the constant array of that shape
+        one = a == a[0]
+        args = (float(a[0]), x[one], args[2][one])
+        assert np.array_equal(kernel(*args), masked(a[one], *args[1:]))
+    # through _gamma_pq, both sides of a + 1 in one call: each entry has the
+    # bits of its own float call
+    a = np.concatenate([shapes, shapes, shapes[:5]])
+    x = np.concatenate([below, above, np.zeros(5)])
+    for fn in (reg_lower_gamma, reg_upper_gamma):
+        whole = fn(a, x)
+        assert np.array_equal(whole, [fn(float(s), float(v)) for s, v in zip(a, x)])
+
+
+def test_incomplete_gamma_broadcasts_like_per_element_calls():
+    shapes = np.array([[1e-3], [0.05], [0.5], [3.0], [40.0], [1e4]])
+    xs = np.array([[0.0, 1e-8, 0.02, 0.7, 1.5, 4.0, 40.0, 1e4, 2e4]])
+    for fn in (reg_lower_gamma, reg_upper_gamma):
+        grid = fn(shapes, xs)
+        assert grid.shape == (shapes.size, xs.size)
+        expected = [[fn(float(a), float(x)) for x in xs[0]] for a in shapes[:, 0]]
+        assert np.array_equal(grid, expected)
+        # one shape in a (1, 1) array against an x row keeps the broadcast shape
+        assert np.array_equal(fn(np.array([[3.0]]), xs[0]), [expected[3]])
+
+
+def test_incomplete_gamma_continued_fraction_against_mpmath():
+    # the fraction's domain, x from a + 1 to 12 (a + 1), where Q is direct
+    # and P = 1 - Q; both to 1e-13 relative
+    with mpmath.workdps(40):
+        for a in (0.3, 0.5, 0.9, 3.0, 30.0):
+            xs = np.geomspace(a + 1.0, 12.0 * (a + 1.0), 60)
+            p, q = reg_lower_gamma(a, xs), reg_upper_gamma(a, xs)
+            for x, ours_p, ours_q in zip(xs, p, q):
+                ref_p = float(mpmath.gammainc(a, 0, x, regularized=True))
+                ref_q = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+                assert abs(ours_p - ref_p) <= 1e-13 * ref_p, (a, x, ours_p, ref_p)
+                assert abs(ours_q - ref_q) <= 1e-13 * ref_q, (a, x, ours_q, ref_q)
+
+
 def test_inv_reg_lower_gamma_domain():
     for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
         with pytest.raises(DomainError):
