@@ -25,8 +25,8 @@ from .errors import (
 from .generators import Generator, LogPower, PowerLaw, inverse_of
 from .special import (
     RngStream,
-    inv_reg_lower_gamma,
-    inv_reg_upper_gamma,
+    _divide,
+    _inv_gamma_levels,
     log_gamma,
     reg_lower_gamma,
     reg_upper_gamma,
@@ -229,20 +229,25 @@ def sf(y, params: FamilyParams, g: Generator):
 def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     """y with P(Y <= y) = u, or P(Y > y) = u when ``upper``, for 0 < u < 1.
 
-    Y = [T^{-1}(Z)]^(1/p) with Z ~ Gamma(mu, 1/(mu sigma)); the level is
-    handed to the incomplete-gamma inverse of the matching tail, so no
-    level is formed as 1 - u.
+    Y = [T^{-1}(Z)]^(1/p) with Z ~ Gamma(mu, 1/(mu sigma)); each level goes
+    to the incomplete-gamma solve of the matching tail, so no level is
+    formed as 1 - u. The level is checked here and the parameters by
+    FamilyParams, so the roots go straight to the generator's inverse kernel.
     """
     arr = level_array(u, "quantile level")
     scalar = arr.ndim == 0
     mu, sigma, p = params.mu, params.sigma, params.power
     on_q = upper != (g.monotonicity == "decreasing")
-    z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(mu, arr)
-    with np.errstate(over="ignore", divide="ignore"):  # mu sigma may overflow or underflow to 0
-        t = np.divide(z, mu * sigma)
-    if not np.all((t > 0.0) & (t < np.inf)):
+    ms = mu * sigma  # may overflow to inf or underflow to 0
+    t = [_divide(z, ms) for z in _inv_gamma_levels(mu, arr, on_q)]
+    if not all(0.0 < v < np.inf for v in t):
         raise OverflowInValue("gamma root over mu sigma left the positive float64 range")
-    x = inverse_of(g, t)
+    x = g.raw.inverse(np.array(t).reshape(arr.shape or (1,)))
+    ok = 0.0 < x.item() < np.inf if x.size == 1 else np.all((x > 0.0) & (x < np.inf))
+    if not ok:
+        raise OverflowInValue("generator inverse left the positive float64 range")
+    if scalar:
+        x = x.item()
     y = _power(x, 1.0 / p) if p != 1.0 else x
     return float(y) if scalar else np.asarray(y)
 

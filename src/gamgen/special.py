@@ -444,28 +444,33 @@ _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _HALLEY_STOP = 1e-6  # relative step; the next error, its cube, is below rounding
 _HALLEY_CLAMP = 16.0  # a step moves x by at most this factor either way
 _HALLEY_MAX = 100
+_INV_NAMES = {False: "inv_reg_lower_gamma", True: "inv_reg_upper_gamma"}  # by ``upper``
 
 
 def _inv_gamma(a, target, upper: bool):
     """Solve P(a, x) = target, or Q(a, x) = target when ``upper``, for x.
 
-    Each level is solved on its own, in Python floats (_inv_gamma_one), with
-    one log-gamma per call; an array of levels is solved level by level.
+    Checks the shape and the levels, then solves them with _inv_gamma_levels:
+    a scalar level gives a float, an array of levels an array of its shape.
     """
-    name = "inv_reg_upper_gamma" if upper else "inv_reg_lower_gamma"
+    name = _INV_NAMES[upper]
     a_arr = positive_array(a, f"{name} shape a")
     if a_arr.size != 1:
         raise DomainError(f"{name} takes one shape a, not {a_arr.size}")
-    a = a_arr.item()
     t = level_array(target, f"{name} level")
-    lg_a = log_gamma(a)
-    if t.ndim == 0:
-        return _inv_gamma_one(a, lg_a, t.item(), upper, name)
-    roots = [_inv_gamma_one(a, lg_a, v, upper, name) for v in t.ravel().tolist()]
-    return np.array(roots, dtype=np.float64).reshape(t.shape)
+    roots = _inv_gamma_levels(a_arr.item(), t, upper)
+    return roots[0] if t.ndim == 0 else np.array(roots, dtype=np.float64).reshape(t.shape)
 
 
-def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> float:
+def _inv_gamma_levels(a: float, t: np.ndarray, upper: bool) -> list:
+    """The roots, as floats in ravel order, for levels t and one shape a that
+    are already checked: one log-gamma, then each level solved on its own
+    (_inv_gamma_one), so a level has the same root alone or in an array."""
+    lg_a = _log_gamma_one(a)
+    return [_inv_gamma_one(a, lg_a, v, upper) for v in t.ravel().tolist()]
+
+
+def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool) -> float:
     """Solve for one level t, with lg_a = ln Gamma(a).
 
     The level is solved on its smaller tail probability r <= 1/2, which is
@@ -485,13 +490,16 @@ def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool, name: str) -> f
     on a numpy array would. Python's min, max and division differ from numpy's
     at nan and at a zero divisor, so the minimum, the clamp and the bracket
     test are written to keep a nan as numpy does, and a division by a
-    possible zero goes through _divide.
+    possible zero goes through _divide. The small-x start's exponent is
+    divided by a in Python floats too, so at a subnormal shape, where it
+    overflows, OverflowInValue is raised with no numpy warning before it.
     """
+    name = _INV_NAMES[upper]
     on_q = (t > 0.5) != upper  # solve on Q rather than P
     r = 1.0 - t if t > 0.5 else t
     sgn = -1.0 if on_q else 1.0  # sign of df/dx
     log_u = np.log1p(-r) if on_q else np.log(r)  # ln P at the root
-    log_xs = float((log_u + lg_a + np.log(a)) / a)
+    log_xs = float(log_u + lg_a + np.log(a)) / a
     if log_xs < _LOG_TINY:
         raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
     z = sgn * _norm_ppf(r)

@@ -1,5 +1,6 @@
 """Density, CDF, quantile, sampler, and moment formulas for the family."""
 
+import collections
 import math
 import warnings
 
@@ -19,6 +20,9 @@ from gamgen import (
     RngStream,
     Sample,
     cdf,
+    inv_reg_lower_gamma,
+    inv_reg_upper_gamma,
+    inverse_of,
     isf,
     log_pdf,
     make_generator,
@@ -31,7 +35,8 @@ from gamgen import (
     sample_gamma,
     sf,
 )
-from gamgen import experiment
+from gamgen import distribution, errors, experiment, generators, special
+from gamgen.distribution import _power
 
 from conftest import CATALOG_SWEEP, sweep_ids
 
@@ -203,6 +208,101 @@ def test_quantile_underflow_of_the_scaled_root_is_an_overflow_error():
     for u in (0.5, [0.5, 0.6]):
         with pytest.raises(OverflowInValue):
             quantile(u, FamilyParams(0.4, 5e-324), g)
+
+
+def _public_route(u, params, g, upper):
+    # quantile and isf composed of the public solve and inverse, which check
+    # the level and every intermediate again: the reference for the direct route
+    arr = errors.level_array(u, "quantile level")
+    on_q = upper != (g.monotonicity == "decreasing")
+    z = (inv_reg_upper_gamma if on_q else inv_reg_lower_gamma)(params.mu, arr)
+    with np.errstate(over="ignore", divide="ignore"):
+        t = np.divide(z, params.mu * params.sigma)
+    if not np.all((t > 0.0) & (t < np.inf)):
+        raise OverflowInValue("gamma root over mu sigma left the positive float64 range")
+    x = inverse_of(g, t)
+    y = _power(x, 1.0 / params.power) if params.power != 1.0 else x
+    return float(y) if arr.ndim == 0 else np.asarray(y)
+
+
+def _outcome(fn, *args):
+    # the result's type, shape and bits, or the error's class and message,
+    # with every warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            y = fn(*args)
+            out = (type(y), np.shape(y), np.asarray(y).tobytes())
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+BENCH_LEVELS = tuple(0.01 + 0.98 * (np.arange(6) + 0.5) / 6)
+PARITY_LEVELS = (1e-300, 1e-12) + BENCH_LEVELS + (0.5, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))
+def test_quantile_has_the_bits_and_errors_of_the_public_route(name, shapes):
+    # quantile and isf call the solve and the inverse kernel directly; each
+    # level form keeps the public route's bits, error class and message
+    g = make_generator(name, **shapes)
+    cases = [(FamilyParams(mu, sigma, p), PARITY_LEVELS)
+             for mu, sigma in ((0.5, 1.0), (3.0, 1.2)) for p in (1.0, 2.5)]
+    cases += [(FamilyParams(1e-300, 1.0), (1e-12, 0.5, 1.0 - 1e-12)),
+              (FamilyParams(1.0, 1.0, 1e-300), (1e-12, 0.5)),
+              (FamilyParams(1.0, 1e300), (1e-300, 0.5)),
+              (FamilyParams(3.0, 1.2, 0.001), (0.5, 0.999999))]
+    raised = set()
+    for params, levels in cases:
+        forms = [u for v in levels for u in (v, np.array([v]))]
+        forms += [np.array(BENCH_LEVELS).reshape(2, 3), np.array([])]
+        for upper, fn in ((False, quantile), (True, isf)):
+            for u in forms:
+                want = _outcome(_public_route, u, params, g, upper)
+                assert _outcome(fn, u, params, g) == want, (fn.__name__, params, u)
+                if len(want[0]) == 2:
+                    raised.add(want[0][1])
+    assert "Y^p left the positive float64 range" in raised
+    assert "gamma root over mu sigma left the positive float64 range" in raised
+
+
+def test_one_level_quantile_validates_the_level_once(monkeypatch):
+    # the level is checked once and the parameters by FamilyParams, so no
+    # check runs again on the level or the gamma root, and the public solve
+    # and inverse are not reached
+    params = FamilyParams(3.0, 1.2, 2.0)
+    gens = [make_generator("gamma"), make_generator("traditional-weibull", b=1.0, c=1.0, d=1.0)]
+    calls = collections.Counter()
+
+    def count(module, name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    for module in (distribution, special):
+        count(module, "level_array", errors.level_array)
+    for module in (distribution, special, generators):
+        count(module, "positive_array", errors.positive_array)
+    count(distribution, "inverse_of", inverse_of)
+    for fn in (inv_reg_lower_gamma, inv_reg_upper_gamma):
+        count(distribution, fn.__name__, fn)
+    for g in gens:
+        for fn in (quantile, isf):
+            for u in (0.3, np.array([0.3])):
+                calls.clear()
+                fn(u, params, g)
+                assert calls == {"level_array": 1}, (g.name, fn.__name__, u)
+
+
+def test_quantile_at_a_subnormal_shape_raises_without_a_warning():
+    g = make_generator("gamma")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (quantile, isf):
+            with pytest.raises(OverflowInValue, match="below the float64 normal range"):
+                fn(0.5, FamilyParams(5e-324, 1.0), g)
 
 
 @pytest.mark.parametrize("name,shapes", CATALOG_SWEEP, ids=sweep_ids(CATALOG_SWEEP))

@@ -375,6 +375,17 @@ def test_inv_incomplete_gamma_below_normal_range_raises():
         inv_reg_upper_gamma(0.001, 0.99)
 
 
+def test_inv_incomplete_gamma_at_a_subnormal_shape_raises_without_a_warning():
+    # the small-x start's exponent overflows there; a numpy warning before
+    # the named error would itself be raised under an error filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (5e-324, 1e-310):
+            for inverse in (inv_reg_lower_gamma, inv_reg_upper_gamma):
+                with pytest.raises(OverflowInValue, match="below the float64 normal range"):
+                    inverse(a, 0.5)
+
+
 def test_reg_upper_gamma_matches_scipy():
     for a in (0.05, 0.5, 1.0, 2.5, 7.0, 40.0, 300.0):
         for x in (a * 0.1, a * 0.5, a, a * 2.0, a * 8.0, a + 600.0):
