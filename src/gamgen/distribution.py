@@ -22,7 +22,7 @@ from .errors import (
     level_array,
     positive_array,
 )
-from .generators import Generator, LogPower, PowerLaw, inverse_of
+from .generators import Generator, LogPower, PowerLaw, _inverse_of_checked, inverse_of
 from .special import (
     RngStream,
     _divide,
@@ -232,7 +232,7 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     Y = [T^{-1}(Z)]^(1/p) with Z ~ Gamma(mu, 1/(mu sigma)); each level goes
     to the incomplete-gamma solve of the matching tail, so no level is
     formed as 1 - u. The level is checked here and the parameters by
-    FamilyParams, so the roots go straight to the generator's inverse kernel.
+    FamilyParams, so nothing checks the roots again on their way to T^{-1}.
     """
     arr = level_array(u, "quantile level")
     scalar = arr.ndim == 0
@@ -242,10 +242,7 @@ def _tail_inverse(u, params: FamilyParams, g: Generator, upper: bool):
     t = [_divide(z, ms) for z in _inv_gamma_levels(mu, arr, on_q)]
     if not all(0.0 < v < np.inf for v in t):
         raise OverflowInValue("gamma root over mu sigma left the positive float64 range")
-    x = g.raw.inverse(np.array(t).reshape(arr.shape or (1,)))
-    ok = 0.0 < x.item() < np.inf if x.size == 1 else np.all((x > 0.0) & (x < np.inf))
-    if not ok:
-        raise OverflowInValue("generator inverse left the positive float64 range")
+    x = _inverse_of_checked(g, np.array(t).reshape(arr.shape or (1,)))
     if scalar:
         x = x.item()
     y = _power(x, 1.0 / p) if p != 1.0 else x

@@ -141,6 +141,17 @@ def inverse_of(g: Generator, z):
     return float(x[0]) if z.ndim == 0 else x
 
 
+def _inverse_of_checked(g: Generator, z: np.ndarray) -> np.ndarray:
+    """inverse_of on an array z already checked > 0, with the range tested per
+    entry in Python floats: 0.4 us for one entry against numpy's 2.5 us, but
+    55 ns an entry, so it is for entries that cost far more, as a quantile
+    level's incomplete-gamma solve does."""
+    x = g.raw.inverse(z)
+    if not all(0.0 < v < np.inf for v in x.ravel().tolist()):
+        raise OverflowInValue("generator inverse left the positive float64 range")
+    return x
+
+
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 _MAX = np.finfo(np.float64).max
 
