@@ -92,20 +92,14 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
-def _power(y, p):
-    """y ** p, raising OverflowInValue where it overflows or underflows to 0,
-    so that no generator kernel sees an argument outside (0, inf).
-
-    p is a scalar, or a column of k powers (shape (k, 1)) for a flat y, which
-    gives one row per power. Each row is y raised to its power as a Python
-    float: numpy takes fast paths (sqrt, y * y) for a scalar power that an
-    array of powers does not, so a broadcast power could move a row's bits.
+def _power(y, p: float):
+    """y ** p for a scalar power, raising OverflowInValue where it overflows
+    or underflows to 0, so that no generator kernel sees an argument outside
+    (0, inf). The estimators' pointwise rows form their own powers and mark
+    such entries instead (estimators._pointwise_terms).
     """
     with np.errstate(over="ignore"):
-        if np.ndim(p):
-            x = np.array([y ** q for q in np.ravel(p).tolist()])
-        else:
-            x = np.asarray(y) ** p
+        x = np.asarray(y) ** p
     if not np.all((x > 0.0) & (x < np.inf)):
         raise OverflowInValue("Y^p left the positive float64 range")
     return x
@@ -114,20 +108,14 @@ def _power(y, p):
 def _t1_and_log(g: Generator, x):
     """Generator value and its log; a log channel only improves the log.
 
-    A value that overflows, or whose log is not finite because the value
-    underflowed to 0, raises OverflowInValue.
+    Never raises: a value that overflows is inf, and the log of one that
+    underflowed to 0 is -inf, for the caller's own finiteness check.
     """
     t1 = g.raw.value(x)
     if g.raw.log_value is not None:
-        log_t1 = g.raw.log_value(x)
-    else:
-        with np.errstate(divide="ignore"):
-            log_t1 = np.log(t1)
-    if not np.isfinite(t1).all():
-        raise OverflowInValue("generator value overflowed float64 range")
-    if not np.isfinite(log_t1).all():
-        raise OverflowInValue("log of the generator value left float64 range")
-    return t1, log_t1
+        return t1, g.raw.log_value(x)
+    with np.errstate(divide="ignore"):
+        return t1, np.log(t1)
 
 
 def log_pdf(y, params: FamilyParams, g: Generator):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import FamilyParams, Sample, _power, _t1_and_log, log_pdf
+from .distribution import FamilyParams, Sample, _t1_and_log, log_pdf
 from .errors import (
     ConvergenceError,
     DegenerateSampleError,
@@ -100,17 +100,23 @@ def _pointwise_terms(g: Generator, y: np.ndarray, p=1.0) -> tuple:
 
     p is a scalar, or a column of k powers (shape (k, 1)) for a flat y,
     which gives every row but ln y at every power, (k, n), with the bits of
-    each power on its own.
+    each power on its own: y is raised to each as a Python float, since
+    numpy takes fast paths (sqrt, y * y) for a scalar power only.
+
+    Never raises. Where x leaves (0, inf) every row is NaN, so no kernel sees
+    0 or inf; elsewhere a row may still overflow to inf or NaN. An estimator
+    fails where a mean of a row it reads is not finite, and only there.
     """
-    x = _power(y, p)
-    t1, log_t1 = _t1_and_log(g, x)
-    d1 = g.raw.d1(x)
-    d2 = g.raw.d2(x)
-    if np.any(~np.isfinite(d1)) or np.any(~np.isfinite(d2)):
-        raise OverflowInValue("generator derivative overflowed float64 range")
-    log_y = np.log(y)
-    # T may underflow to 0 and x ln y overflow; the callers' finiteness checks catch it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if np.ndim(p):
+            x = np.array([y ** q for q in np.ravel(p).tolist()])
+        else:
+            x = y ** p
+        x[~((x > 0.0) & (x < np.inf))] = np.nan
+        t1, log_t1 = _t1_and_log(g, x)
+        d1 = g.raw.d1(x)
+        d2 = g.raw.d2(x)
+        log_y = np.log(y)
         xl = x * log_y
         return t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl
 
@@ -231,6 +237,8 @@ def ml_equation_rhs(sample: Sample, g: Generator) -> float:
     if not np.isfinite(mean_t1) or mean_t1 <= 0.0:
         raise OverflowInValue("mean of generator values is not finite and positive")
     h = float(np.log(mean_t1) - mean_log_t1)
+    if not np.isfinite(h):
+        raise OverflowInValue("ML equation right side is not finite")
     if h < 0.0:
         if h < -1e-10 * max(1.0, abs(np.log(mean_t1))):
             raise InvalidSampleError("ML equation right side is significantly negative")
@@ -482,8 +490,9 @@ def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
     """_profile_residual at each power of the block p on the flat sample y,
     as three arrays shaped like p, with the same bits: one _pointwise_terms
     pass, whose (k, n) terms sum in the order of _pointwise's (6, n) rows,
-    one _from_means call and one digamma pass. A power that overflows
-    raises OverflowInValue for the whole block; the caller checks spread.
+    one _from_means call and one digamma pass. A power where a profile
+    would raise, overflowing ones included, is NaN in all three, and the
+    others keep their values; the caller checks spread.
     """
     terms = _pointwise_terms(g, y, p[:, None])
     means = [_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms]
@@ -507,10 +516,9 @@ def fit_full_ml(
     counted; no sign change among feasible grid points raises.
 
     The grid is evaluated in blocks of _GRID_BLOCK_VALUES // n powers, one
-    _power_residuals pass per block; a block of several powers that
-    overflows is redone one power at a time, so the overflow marks only its
-    own. Those powers and each secant step run _profile_residual. Either
-    route gives a power the bits of profile_mu and profile_sigma.
+    _power_residuals pass per block, in which a power that overflows is NaN
+    on its own; each secant step runs _profile_residual. Either route gives
+    a power the bits of profile_mu and profile_sigma.
     """
     p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
     if not (0.0 < p_lo < p_hi and np.isfinite(p_hi)):
@@ -519,16 +527,7 @@ def fit_full_ml(
     y = sample.values
     grid = np.geomspace(p_lo, p_hi, 41)
     size = max(1, _GRID_BLOCK_VALUES // y.size)
-
-    def block(powers):
-        try:
-            return _power_residuals(y, g, powers)
-        except OverflowInValue:
-            if powers.size == 1:  # its scalar pass would overflow too
-                return (np.full(1, np.nan),) * 3
-            return np.array([_profile_residual(sample, g, p) for p in powers.tolist()]).T
-
-    blocks = [block(grid[i : i + size]) for i in range(0, grid.size, size)]
+    blocks = [_power_residuals(y, g, grid[i : i + size]) for i in range(0, grid.size, size)]
     resid, mu, sigma = (np.concatenate(col) for col in zip(*blocks))
     infeasible = int(np.isnan(resid).sum())
     residuals = list(zip(grid.tolist(), resid.tolist(), mu.tolist(), sigma.tolist()))
@@ -632,6 +631,8 @@ def estimating_equation_bias(
     y = inverse_of(g, z)
     _, log_t1 = _t1_and_log(g, y)
     rhs = -np.log(sigma) - np.mean(log_t1, axis=1)
+    if not np.isfinite(rhs).all():
+        raise OverflowInValue("log of the generator value left float64 range")
     bias = float(np.mean(rhs)) - (np.log(mu) - digamma(mu))
     se = float(np.std(rhs)) / np.sqrt(reps)
     return float(bias), se

@@ -7,11 +7,12 @@ count. Cells are independent tasks, submitted largest n first; a single
 reducer walks them in index order, which makes the CSV byte-stable.
 
 A cell runs each estimation stage once for all its replications. Each
-replication draws its sample on its own stream and computes its pointwise
-rows (estimators._pointwise) once; one that fails there fails alone. One
-_theta_from_means call per kind turns the row means of every surviving
-replication into raw estimates, through estimators._from_means and
-estimators._native_theta, which also serve fit_full_ml and fit_family.
+replication draws its sample on its own stream (one whose draw fails fails
+alone) and computes its pointwise rows (estimators._pointwise) once. One
+_theta_from_means call per kind turns the row means of every replication
+into raw estimates, through estimators._from_means and
+estimators._native_theta, which also serve fit_full_ml and fit_family; a row
+that overflows fails a replication only for the kinds that read it.
 bootstrap._resample_estimates then runs the bootstrap of every replication
 whose raw estimate succeeded, each on its own substream: it draws each
 replication's (B, n) index matrix in row blocks, and _resample_evaluator
@@ -231,12 +232,11 @@ def _run_cell(payload):
     for rep in range(N):
         try:
             y = sample(n, params, g, RngStream(seed, (cell_idx << 32) | rep))
-            P = _pointwise(g, y)
         except GamgenError:
             continue
         reps.append(rep)
         ys.append(y)
-        Ps.append(P)
+        Ps.append(_pointwise(g, y))
     if not reps:
         return cell_idx, param_names, corrected, raw, time.perf_counter() - t0
     M = np.stack([_mean_last(P) for P in Ps], axis=1)

@@ -298,6 +298,15 @@ _LGAMMA1P = (-0.5772156649015329,) + tuple(
 _SMALL_A = 0.1  # below this shape, Q is taken directly where it is the smaller tail
 
 
+def _lgamma1p_over_a(a):
+    """ln Gamma(1 + a) / a for a < 0.1 from its Taylor series, for floats or
+    arrays, accurate where ln Gamma(a) + ln a is all rounding error."""
+    c = _LGAMMA1P[-1]
+    for coef in _LGAMMA1P[-2::-1]:
+        c = coef + a * c
+    return c
+
+
 def _upper_small_a(a, x):
     """Q(a, x) for a < 0.1 and x < a+1 (DiDonato & Morris, 1986), for floats
     or arrays.
@@ -306,10 +315,7 @@ def _upper_small_a(a, x):
     u = a ln x - ln Gamma(1 + a), and ln Gamma(1 + a) from its Taylor series,
     so Q keeps its relative accuracy instead of being formed as 1 - P.
     """
-    c = _LGAMMA1P[-1]
-    for coef in _LGAMMA1P[-2::-1]:
-        c = coef + a * c
-    e = np.expm1(a * (np.log(x) - c))  # c = ln Gamma(1 + a) / a
+    e = np.expm1(a * (np.log(x) - _lgamma1p_over_a(a)))
     term = 1.0
     total = 0.0
     for k in range(1, 23):  # x < 1.1, so x^22 / 22! is below 1e-20
@@ -498,8 +504,10 @@ def _inv_gamma_one(a: float, lg_a: float, t: float, upper: bool) -> float:
     on_q = (t > 0.5) != upper  # solve on Q rather than P
     r = 1.0 - t if t > 0.5 else t
     sgn = -1.0 if on_q else 1.0  # sign of df/dx
-    log_u = np.log1p(-r) if on_q else np.log(r)  # ln P at the root
-    log_xs = float(log_u + lg_a + np.log(a)) / a
+    log_u = float(np.log1p(-r) if on_q else np.log(r))  # ln P at the root
+    # ln x of the small-x start, (ln u + ln Gamma(1 + a)) / a
+    log_xs = (log_u / a + _lgamma1p_over_a(a) if a < _SMALL_A
+              else float(log_u + lg_a + np.log(a)) / a)
     if log_xs < _LOG_TINY:
         raise OverflowInValue(f"{name}: the solution is below the float64 normal range")
     z = sgn * _norm_ppf(r)

@@ -36,7 +36,7 @@ from gamgen import (
     sample as draw,
     score_vector,
 )
-from gamgen import estimators, experiment
+from gamgen import cli, estimators, experiment
 from gamgen.estimators import (
     _from_means,
     _mean_last,
@@ -595,16 +595,14 @@ def test_pointwise_terms_at_a_column_of_powers_keep_the_bits_of_each_power(n):
 @pytest.mark.parametrize("n", [3, 20, 1000, 15_001])
 def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(monkeypatch, n):
     # at n = 20 every catalog generator runs; at every n so does a sample so
-    # spread that grid blocks overflow (one block of 41 powers at n = 20, of
-    # 5 at n = 1000, of 1 at n = 15 001)
-    overflowed, profiled = [], []
+    # spread that some grid powers overflow (in one block of 41 powers at
+    # n = 20, of 5 at n = 1000, of 1 at n = 15 001)
+    infeasible, profiled = [], []
 
-    def counting(y, g, p):
-        try:
-            return power_residuals(y, g, p)
-        except OverflowInValue:
-            overflowed.append(p.size)
-            raise
+    def recording_block(y, g, p):
+        out = power_residuals(y, g, p)
+        infeasible.append(np.isnan(out[0]))
+        return out
 
     def recording(sample, g, p):
         profiled.append(p)
@@ -612,9 +610,9 @@ def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(monkeypatch, n):
 
     power_residuals = estimators._power_residuals
     profile_residual = estimators._profile_residual
-    monkeypatch.setattr(estimators, "_power_residuals", counting)
+    monkeypatch.setattr(estimators, "_power_residuals", recording_block)
     monkeypatch.setattr(estimators, "_profile_residual", recording)
-    kinds, fallback = [], []
+    kinds = []
     for gi, (name, shapes) in enumerate(CATALOG_SWEEP if n == 20 else FULL_ML_GENERATORS):
         g = make_generator(name, **shapes)
         samples = [np.geomspace(1e-4, 1e4, n)]
@@ -627,32 +625,29 @@ def test_fit_full_ml_keeps_the_bits_of_per_point_evaluation(monkeypatch, n):
                 continue
         for y in samples:
             for bracket in FULL_ML_BRACKETS:
-                before = len(overflowed)
                 got = _fit_outcome(fit_full_ml, y, g, bracket)
                 want = _fit_outcome(_per_point_fit_full_ml, y, g, bracket)
                 assert got == want, (name, y[:2], bracket)
-                kind = got[0] if isinstance(got, tuple) else (
-                    "infeasible" if got.infeasible_points else "fit")
-                kinds.append(kind)
-                if len(overflowed) > before:
-                    fallback.append(kind)
+                kinds.append(got[0] if isinstance(got, tuple) else (
+                    "infeasible" if got.infeasible_points else "fit"))
     if n == 3:
         # the grids cross infeasible points, and some have no sign change
         assert {"fit", "infeasible", "NoRootInBracketError"} <= set(kinds)
-    assert "fit" in kinds
-    # a fit still comes out where grid blocks overflowed
-    assert overflowed and "infeasible" in fallback
-    if n > estimators._GRID_BLOCK_VALUES // 2:
-        # a one-power block that overflows is not evaluated a second time
-        grids = np.concatenate([np.geomspace(*b, 41) for b in FULL_ML_BRACKETS])
-        assert not set(profiled) & set(grids.tolist())
-    else:
-        assert max(overflowed) > 1
+    assert {"fit", "infeasible"} <= set(kinds)
+    # every grid power is evaluated once, in its block: none by the scalar profiles
+    grids = np.concatenate([np.geomspace(*b, 41) for b in FULL_ML_BRACKETS])
+    assert not set(profiled) & set(grids.tolist())
+    if n <= estimators._GRID_BLOCK_VALUES // 2:
+        # a power that overflows is infeasible alone, in a block with feasible ones
+        assert any(nan.any() and not nan.all() for nan in infeasible)
 
 
 @pytest.mark.parametrize("n", [20, 1000, 2_000, 15_001])
 def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n):
-    y = draw(n, FamilyParams(2.0, 1.0, 1.5), GAMMA, RngStream(67, 0))
+    # a drawn sample, and one whose Y^p overflows at the largest powers of
+    # (0.01, 100); at n >= 1000 the second has no sign change on the grid,
+    # so no step follows its blocks
+    drawn = draw(n, FamilyParams(2.0, 1.0, 1.5), GAMMA, RngStream(67, 0))
     passes = []
 
     def counting(g, y, p=1.0):
@@ -660,15 +655,22 @@ def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n)
         return terms(g, y, p)
 
     terms = estimators._pointwise_terms
-    monkeypatch.setattr(estimators, "_pointwise_terms", counting)
-    fit = fit_full_ml(Sample(y), GAMMA)
-    monkeypatch.undo()
-    assert fit.infeasible_points == 0 and fit.iterations >= 3
     # every (k, n) array of a grid pass stays below glibc's 64 KiB trim check
     assert estimators._GRID_BLOCK_VALUES * 8 < 64 * 1024
     blocks = math.ceil(41 / max(1, estimators._GRID_BLOCK_VALUES // n))
-    assert len(passes) == blocks + fit.iterations
-    assert sum(passes[:blocks]) == 41 and passes[blocks:] == [1] * fit.iterations
+    for y, bracket in [(drawn, (0.05, 20.0)), (np.geomspace(1e-4, 1e4, n), (0.01, 100.0))]:
+        passes.clear()
+        monkeypatch.setattr(estimators, "_pointwise_terms", counting)
+        fit = _fit_outcome(fit_full_ml, y, GAMMA, bracket)
+        monkeypatch.undo()
+        if isinstance(fit, tuple):
+            assert y is not drawn and fit[0] == "NoRootInBracketError"
+            iterations = 0
+        else:
+            assert (fit.infeasible_points > 0) == (y is not drawn) and fit.iterations >= 3
+            iterations = fit.iterations
+        assert len(passes) == blocks + iterations
+        assert sum(passes[:blocks]) == 41 and passes[blocks:] == [1] * iterations
 
 
 @pytest.mark.parametrize("shape", ["flat", "row"])
@@ -815,6 +817,47 @@ def test_an_overflowing_pointwise_product_raises_no_warning():
         # mean w, a and r are inf: d_power was NaN, with no error
         with pytest.raises(OverflowInValue):
             score_vector(Sample([2.0, 1200.0]), GAMMA, 2.0, 1.0, 100.0)
+
+
+def test_each_estimator_fails_only_on_the_rows_it_reads(tmp_path, capsys):
+    # one observation at 1e-200 makes a pointwise row overflow; an estimator
+    # fails where a row mean it reads is not finite, and not otherwise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # burr-xii(c=2): T underflows to 0 there, so ln T is -inf
+        burr = make_generator("burr-xii", c=2.0)
+        values = [1e-200, 0.5, 1.0, 2.0, 3.0]
+        s = Sample(values)
+        assert estimate_sigma(s, burr) == pytest.approx(
+            len(values) / math.fsum(burr.value(v) for v in values), rel=1e-15)
+        with pytest.raises(OverflowInValue):
+            estimate_mu_ml(s, burr)
+        # Y^p underflows to 0 at p = 100, so every row is NaN there
+        with pytest.raises(OverflowInValue):
+            profile_sigma(s, burr, 100.0)
+        # flexible-weibull: T underflows to 0 with a finite log, and T' is NaN
+        flex = make_generator("flexible-weibull", b=1.0, c=0.5)
+        s = Sample([1e-200, 0.5, 1.0, 2.0])
+        assert 0.0 < estimate_sigma(s, flex) < np.inf
+        with pytest.raises(OverflowInValue):
+            estimate_mu_closed(s, flex)
+        # inverse-gamma: only T' overflows, and ML mu reads T and ln T alone
+        g = make_generator("inverse-gamma")
+        t = np.array([g.value(v) for v in s.values])
+        h = math.log(np.mean(t)) - np.mean(np.log(t))
+        assert ml_equation_rhs(s, g) == pytest.approx(h, rel=1e-14)
+        mu, _ = estimate_mu_ml(s, g)
+        assert math.log(mu) - digamma(mu) == pytest.approx(h, rel=1e-12)
+        with pytest.raises(OverflowInValue):
+            estimate_mu_closed(s, g)
+    path = tmp_path / "d.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    assert cli.main(["fit", "--generator", "burr-xii(c=2)", str(path)]) == 4
+    out, err = capsys.readouterr()
+    got = dict(line.partition("=")[::2] for line in out.splitlines())
+    assert float(got["sigma_hat"]) == estimate_sigma(Sample(values), burr)
+    assert got["mu_hat_closed"] == got["mu_hat_ml"] == "overflow"
+    assert "error=overflow" in err.splitlines()
 
 
 def test_score_vector_raises_where_a_partial_is_not_finite():

@@ -152,9 +152,10 @@ def test_both_grid_csv_bytes_are_pinned(tmp_path, generator, theta, digest):
     assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
 
 
-def test_replication_failing_in_pointwise_fails_alone(monkeypatch):
-    # one replication's pointwise rows overflow: it fails for every row, and
-    # the others give the estimates of a per-replication reference
+def test_replication_failing_in_its_draw_fails_alone(monkeypatch):
+    # one replication's draw fails (the pointwise rows never raise): it fails
+    # for every row, and the others give the estimates of a per-replication
+    # reference
     from gamgen import bootstrap_bias_reduce, experiment
     from gamgen.errors import GamgenError, OverflowInValue
     from gamgen.experiment import _BOOT_BIT
@@ -162,14 +163,14 @@ def test_replication_failing_in_pointwise_fails_alone(monkeypatch):
     g = make_generator("gamma")
     params, n, N, B, seed = FamilyParams(2.0, 1.0), 8, 5, 20, 606
     bad = sample(n, params, g, RngStream(seed, 2))
-    pointwise = experiment._pointwise
 
-    def overflowing(g_, y, p=1.0):
+    def underflowing(n_, params_, g_, rng):
+        y = sample(n_, params_, g_, rng)
         if np.array_equal(y, bad):
-            raise OverflowInValue("generator value overflowed float64 range")
-        return pointwise(g_, y, p)
+            raise OverflowInValue("a gamma draw underflowed to 0")
+        return y
 
-    monkeypatch.setattr(experiment, "_pointwise", overflowing)
+    monkeypatch.setattr(experiment, "sample", underflowing)
     cfg = small_config(theta=({"mu": 2.0, "sigma": 1.0},), n=(n,), N=N, B=B, seed=seed)
     rows = run_experiment(cfg)
 

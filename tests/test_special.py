@@ -12,12 +12,15 @@ import scipy.stats
 from gamgen import (
     ConvergenceError,
     DomainError,
+    FamilyParams,
     OverflowInValue,
     RngStream,
     digamma,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
+    isf,
     log_gamma,
+    make_generator,
     reg_lower_gamma,
     reg_upper_gamma,
     sample_gamma,
@@ -250,6 +253,38 @@ def test_inv_incomplete_gamma_against_mpmath():
             assert abs(ours - root) <= 1e-13 * root, (a, level, ours, root)
 
 
+def _mpmath_upper_root(a, level):
+    # the root of ln Q(a, x) = ln level at 40 digits by Newton steps in ln x, from
+    # the root of a E1(x) = level, which Q(a, x) approaches as a goes to 0
+    with mpmath.workdps(40):
+        a, level = mpmath.mpf(a), mpmath.mpf(level)
+        x = mpmath.re(mpmath.findroot(lambda t: mpmath.e1(t) - level / a, 0.5))
+        for _ in range(8):
+            prob = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            dens = x ** a * mpmath.exp(-x) / mpmath.gamma(a)  # -x dQ/dx
+            x *= mpmath.exp((mpmath.log(prob) - mpmath.log(level)) * prob / dens)
+        return float(x)
+
+
+def test_inv_incomplete_gamma_at_tiny_shapes_against_mpmath():
+    # the small-x start's exponent takes ln Gamma(1 + a) / a from its series, so it
+    # keeps its sign where ln Gamma(a) + ln a is all rounding error (a near 1e-300)
+    cases = [(1e-300, 1e-300), (1e-298, 1e-300), (1e-200, 1e-200), (1e-100, 3e-101),
+             (1e-20, 1e-20), (1e-8, 2e-9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, level in cases:
+            root = _mpmath_upper_root(a, level)
+            ours = inv_reg_upper_gamma(a, level)
+            assert abs(ours - root) <= 1e-13 * root, (a, level, ours, root)
+        ours = isf(1e-300, FamilyParams(1e-300, 1.0), make_generator("gamma"))
+        root = _mpmath_upper_root(1e-300, 1e-300) / 1e-300
+        assert abs(ours - root) <= 1e-13 * root, (ours, root)
+        # the lower-tail root at 1 - 1e-16 is about exp(-1e284)
+        with pytest.raises(OverflowInValue, match="below the float64 normal range"):
+            inv_reg_lower_gamma(1e-300, 1.0 - 1e-16)
+
+
 def _array_norm_ppf(p):
     # Acklam's normal quantile as whole-array passes, as special._norm_ppf's steps
     a, b, c, d = special._ACKLAM_A, special._ACKLAM_B, special._ACKLAM_C, special._ACKLAM_D
@@ -273,7 +308,10 @@ def _array_inv_gamma(a, t, upper):
     sgn = np.where(on_q, -1.0, 1.0)
     lg_a = log_gamma(a)
     log_u = np.where(on_q, np.log1p(-r), np.log(r))
-    log_xs = (log_u + lg_a + np.log(a)) / a
+    if a < special._SMALL_A:
+        log_xs = log_u / a + special._lgamma1p_over_a(a)
+    else:
+        log_xs = (log_u + lg_a + np.log(a)) / a
     if np.any(log_xs < special._LOG_TINY):
         raise OverflowInValue("below the float64 normal range")
     z = sgn * _array_norm_ppf(r)
