@@ -252,9 +252,11 @@ def _solve_mu_ml_array(h: np.ndarray):
     Start from mu0 = (3 + sqrt(9 + 12 h)) / (12 h), expand a geometric
     bracket until the residual changes sign, then Newton steps with the
     derivative taken by central finite difference, falling back to bisection
-    whenever a step leaves the bracket, until |residual| <= 1e-12 or 200
-    steps. digamma is the unvalidated kernel, since every argument here is
-    finite and positive.
+    whenever a step leaves the bracket, until |residual| <= 1e-12 or 400
+    steps; from step 201 the bisection is geometric, since above H ~ 1e116
+    the root, about 1/H, is too far below mu0 for 200 halvings. mu0 is
+    sqrt(1/12/H) where 12 H overflows. digamma is the unvalidated kernel,
+    since every argument here is finite and positive.
 
     A digamma pass costs about as much on one entry as on thousands, so the
     solve makes one ln(x) - psi(x) pass to start, over the bracket ends lo
@@ -287,6 +289,7 @@ def _solve_mu_ml_array(h: np.ndarray):
         return np.log(x) - _digamma(x)
 
     m = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+    m = np.where(12.0 * h < np.inf, m, np.sqrt(1.0 / 12.0 / h))
     lo = m / 10.0
     hi = m * 10.0
     step = m * 1e-7
@@ -312,7 +315,7 @@ def _solve_mu_ml_array(h: np.ndarray):
     # Newton steps on the entries still moving, gathered once by index
     idx = np.flatnonzero(bracketed & (np.abs(fm) > 1e-12))
     am, af, afp, alo, ahi, ah = (a[idx] for a in (m, fm, fp, lo, hi, h))
-    for _ in range(200):
+    for k in range(400):
         if not idx.size:
             break
         alo = np.where(af > 0.0, am, alo)
@@ -320,7 +323,7 @@ def _solve_mu_ml_array(h: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = am - af / afp
         inside = np.isfinite(newton) & (newton > alo) & (newton < ahi)
-        am = np.where(inside, newton, 0.5 * (alo + ahi))
+        am = np.where(inside, newton, 0.5 * (alo + ahi) if k < 200 else np.sqrt(alo) * np.sqrt(ahi))
         step = am * 1e-7
         af, f_up, f_down = lhs(np.stack([am, am + step, am - step])) - ah
         afp = (f_up - f_down) / (2.0 * step)
@@ -353,6 +356,7 @@ def _solve_mu_ml_one(h: float):
         return float(np.log(x)) - _digamma(x) - h
 
     m = (3.0 + float(np.sqrt(9.0 + 12.0 * h))) / (12.0 * h)
+    m = m if 12.0 * h < np.inf else float(np.sqrt(1.0 / 12.0 / h))
     lo = m / 10.0
     hi = m * 10.0
     step = m * 1e-7
@@ -374,7 +378,7 @@ def _solve_mu_ml_one(h: float):
     iters = 0
     alo, ahi = lo, hi
     going = bracketed and abs(fm) > 1e-12
-    for _ in range(200):
+    for k in range(400):
         if not going:
             break
         if fm > 0.0:
@@ -383,7 +387,8 @@ def _solve_mu_ml_one(h: float):
             ahi = m
         newton = m - _divide(fm, fp)
         inside = alo < newton < ahi  # the ends are finite: false for a nan or inf step
-        m = newton if inside else 0.5 * (alo + ahi)
+        mid = 0.5 * (alo + ahi) if k < 200 else float(np.sqrt(alo)) * float(np.sqrt(ahi))
+        m = newton if inside else mid
         step = m * 1e-7
         fm, f_up, f_down = f(m), f(m + step), f(m - step)
         fp = _divide(f_up - f_down, 2.0 * step)

@@ -130,8 +130,8 @@ def _wrap(kernel: Callable, what: str):
 def inverse_of(g: Generator, z):
     """Evaluate the generator's inverse at z > 0.
 
-    Closed forms are used where the catalog provides them; otherwise a
-    geometric-bisection search with Newton polishing solves value(x) = z.
+    Closed forms are used where the catalog provides them; otherwise
+    bracketed Newton steps and a geometric bisection solve value(x) = z.
     A result that overflows or underflows to 0 raises OverflowInValue.
     """
     z = positive_array(z, "inverse argument")
@@ -157,25 +157,26 @@ _MAX = np.finfo(np.float64).max
 
 
 def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
-    """Solve value(x) = z elementwise for increasing ``value``. It runs as a
-    kernel, so numpy's overflow warnings are already off.
+    """Solve value(x) = z elementwise for increasing ``value`` on a flat z.
+    It runs as a kernel, so numpy's overflow warnings are already off.
 
-    After bracketing, up to 140 geometric bisections; they stop early after
-    a step that moves no end of any bracket. Such a step is a fixed point:
-    the next one sees the same (lo, hi), so the same midpoints and the same
-    values, and moves nothing either. So (lo, hi), and the three Newton
-    polishing steps from their midpoint, have the bits of all 140 steps.
-    With value(hi) >= z > value(lo), that happens once every midpoint
-    sqrt(lo*hi) rounds to one of its ends, in 55-60 steps.
-
-    lo*hi stays normal while both ends lie in [2^-511, 2^511], and the
-    bracket only shrinks. An entry with an end outside that range takes
-    sqrt(lo)*sqrt(hi) at the steps where lo*hi is not normal, and its
-    polish starts from lo/2 + hi/2 where lo + hi overflows, so roots from
-    the subnormals up to the largest float are found. hi grows by 4 up to
-    the largest float; where value is still below z there, the root is
-    above every float and OverflowInValue is raised. Where lo underflowed
-    to 0 the root is below every float, and the result is 0.
+    After bracketing, geometric bisection runs until a step moves no end of
+    any bracket, a fixed point with the bits of any number of further steps.
+    While lo*hi stays normal that is two adjacent floats, the same from any
+    bracket where value is monotone at float level. So when every bracket
+    lies in [2^-511, 2^511], Newton steps safeguarded as in rtsafe
+    (Numerical Recipes 9.4) shrink it first, and once a step is below
+    2^-50 x, x(1 -+ 2^-49) become the ends where they hold the root: about 5
+    bisections then reach the pair that 55-60 reach from the bracket alone.
+    Otherwise every entry bisects from its bracket; an end outside that
+    range takes sqrt(lo)*sqrt(hi) where lo*hi is not normal, which may stop
+    on a wider bracket set by the path. Where a final bracket is wider than
+    two floats, three Newton steps polish from the midpoints (lo/2 + hi/2
+    where lo + hi overflows). Roots from the subnormals up to the largest
+    float are found. hi grows by 4 up to the
+    largest float; where value is still below z there, the root is above
+    every float and OverflowInValue is raised. Where lo underflowed to 0 the
+    root is below every float, and the result is 0.
     """
     lo = np.ones_like(z)
     hi = np.ones_like(z)
@@ -195,6 +196,23 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
     else:
         raise ConvergenceError("numeric inverse failed to bracket below")
     far = np.nonzero((lo < 2.0**-511) | (hi > 2.0**511))[0]
+    if not far.size:  # else a far entry's bisection sets the step count
+        lo, hi = np.where(hi > 1.0, 0.25 * hi, lo), np.where(lo < 1.0, 4.0 * lo, hi)
+        x, step, old, go = np.sqrt(lo * hi), hi - lo, hi - lo, True
+        for _ in range(60):
+            v = value(x)
+            hi, lo = np.where(v >= z, x, hi), np.where(v < z, x, lo)
+            newton = x - (v - z) / d1(x)
+            # a step that leaves the bracket or does not halve the one before last bisects
+            ok = (newton >= lo) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * old)
+            x_new = np.where(go, np.where(ok, newton, np.sqrt(lo * hi)), x)
+            old, step, x = step, np.abs(x_new - x), x_new
+            go = go & (step > 2.0**-50 * x)
+            if not go.any():
+                break
+        a, b = x * (1.0 - 2.0**-49), x * (1.0 + 2.0**-49)
+        lo = np.where(value(a) < z, np.maximum(lo, a), lo)
+        hi = np.where(value(b) >= z, np.minimum(hi, b), hi)
     for _ in range(140):
         mid = np.sqrt(lo * hi)
         if far.size:
@@ -209,10 +227,11 @@ def _numeric_inverse(value: Callable, d1: Callable, z: np.ndarray):
     x = 0.5 * (lo + hi)
     top = far[x[far] == np.inf]
     x[top] = 0.5 * lo[top] + 0.5 * hi[top]
-    for _ in range(3):
-        step = (value(x) - z) / d1(x)
-        x_new = x - step
-        x = np.where((x_new > lo) & (x_new < hi), x_new, x)
+    if (np.nextafter(lo, np.inf) != hi).any():  # else no polishing step lands inside
+        for _ in range(3):
+            step = (value(x) - z) / d1(x)
+            x_new = x - step
+            x = np.where((x_new > lo) & (x_new < hi), x_new, x)
     x[far[lo[far] == 0.0]] = 0.0
     return x
 
@@ -535,7 +554,7 @@ def _traditional_weibull(b=1.0, c=1.0, d=1.0):
         return x ** (bb - 2.0) * ((bb - 1.0) * a + cc * dd * x**dd * e * (bb + dd + cc * dd * x**dd))
 
     def inverse(z):
-        return _numeric_inverse(value, d1, z)
+        return _numeric_inverse(value, d1, z.ravel()).reshape(z.shape)
 
     return Generator(
         name="traditional-weibull",

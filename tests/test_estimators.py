@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -133,9 +134,10 @@ def test_mu_ml_constructed_fixed_points():
     assert np.all(iters <= 200)
 
 
-def _separate_pass_solve_mu_ml(h):
+def _separate_pass_solve_mu_ml(h, steps=400):
     # estimators._solve_mu_ml_array with a digamma pass of its own for f(lo),
-    # f(hi) and f(mu0), and two per Newton step: the sides, then f(new)
+    # f(hi) and f(mu0), and two per Newton step: the sides, then f(new);
+    # steps=200 is the solve that halved the bracket up to its last step
     h = np.asarray(h, dtype=np.float64)
 
     def f(m):
@@ -145,6 +147,7 @@ def _separate_pass_solve_mu_ml(h):
         return np.log(m) - estimators._digamma(m) - h[idx]
 
     mu0 = (3.0 + np.sqrt(9.0 + 12.0 * h)) / (12.0 * h)
+    mu0 = np.where(12.0 * h < np.inf, mu0, np.sqrt(1.0 / 12.0 / h))
     lo = mu0 / 10.0
     hi = mu0 * 10.0
     flo = f(lo)
@@ -167,7 +170,7 @@ def _separate_pass_solve_mu_ml(h):
     fm = f(m)
     iters = np.zeros(h.shape, dtype=np.int64)
     active = bracketed & (np.abs(fm) > 1e-12)
-    for _ in range(200):
+    for it in range(steps):
         if not active.any():
             break
         pos = active & (fm > 0.0)
@@ -184,7 +187,11 @@ def _separate_pass_solve_mu_ml(h):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = ma - fm[active] / fp
         inside = np.isfinite(newton) & (newton > lo[active]) & (newton < hi[active])
-        newton = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+        if it < 200:
+            mid = 0.5 * (lo[active] + hi[active])
+        else:
+            mid = np.sqrt(lo[active]) * np.sqrt(hi[active])
+        newton = np.where(inside, newton, mid)
         m[active] = newton
         fm[active] = f_at(newton, active)
         iters[active] += 1
@@ -283,11 +290,53 @@ def test_solver_starts_from_mu0():
 
 
 def test_solver_does_not_converge_where_mu0_overflows():
-    # 12 h overflows (mu0 = inf / inf = NaN) or mu0 itself does: no bracket
+    # mu0 ~ 1 / (2 h) overflows: no bracket
     with np.errstate(all="ignore"):
-        root, _, _, _, converged = _solve_mu_ml_array(np.array([1e308, 1.5e307, 5e-324]))
+        root, _, _, _, converged = _solve_mu_ml_array(np.array([5e-324]))
     assert not converged.any()
     assert not np.isfinite(root).any()
+
+
+def test_solver_keeps_the_steps_of_every_root_it_found_within_200_steps():
+    # the geometric midpoints start at step 201, so an H solved within 200
+    # halving steps keeps its root, steps, residual and bracket
+    h = 10.0 ** np.linspace(-300.0, 116.0, 4 * 416 + 1)
+    with np.errstate(all="ignore"):
+        got = _solve_mu_ml_array(h.copy())
+        want = _separate_pass_solve_mu_ml(h.copy(), steps=200)
+    ok = want[4]
+    assert ok.sum() > 1000 and got[4][ok].all()
+    for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+        assert np.array_equal(a[ok], b[ok])
+
+
+def test_solver_converges_up_to_the_largest_float():
+    # the root is about 1/H; halving from mu0 ~ 1/sqrt(12 H) ran out of its
+    # 200 steps from H ~ 1e116, and 12 H overflowed mu0 above 1.5e307
+    h = np.concatenate([np.geomspace(1e116, 1e308, 193), [1.5e307, np.finfo(np.float64).max]])
+    with np.errstate(all="ignore"):
+        root, iters, _, _, converged = _solve_mu_ml_array(h)
+    assert converged.all()
+    assert iters.max() <= 400
+    np.testing.assert_allclose(root * h, 1.0, rtol=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [_solve_mu_ml_one(v)[0] for v in h.tolist()] == root.tolist()
+
+
+def test_mu_ml_at_an_h_above_1e122_against_mpmath():
+    # H = 1.25e199: the root, 8e-200, lies 90 decades below mu0
+    g = make_generator("flexible-weibull", b=1.0, c=0.5)
+    s = Sample([1e-200, 0.5, 1.0, 2.0])
+    h = ml_equation_rhs(s, g)
+    assert h > 1e122
+    mu, diag = estimate_mu_ml(s, g)
+    with mpmath.workdps(50):
+        # 1 / (ln m - psi(m)) = m + O(m^2 ln m) is near linear at this root
+        want = mpmath.findroot(lambda m: 1 / (mpmath.log(m) - mpmath.digamma(m)) - 1 / mpmath.mpf(h),
+                               (mpmath.mpf(0.5) / h, mpmath.mpf(2) / h), solver="anderson")
+    assert abs(mu / float(want) - 1.0) <= 1e-12
+    assert diag.bracket[0] < mu < diag.bracket[1]
 
 
 def _count_passes(monkeypatch, fn, h):

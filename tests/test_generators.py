@@ -23,6 +23,7 @@ from gamgen import (
     estimate_sigma,
     generators,
     inverse_of,
+    isf,
     log_pdf,
     make_generator,
     parse_generator_spec,
@@ -354,6 +355,54 @@ def test_numeric_inverse_stops_at_its_fixed_point(monkeypatch, b, c, d):
     assert np.array_equal(got, g.raw.inverse(z))
 
 
+# the shapes of the numeric-inverse tests here and CATALOG_SWEEP's row
+NUMERIC_INVERSE_SHAPES = [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5), (3.0, 0.2, 4.0), (1.0, 5.0, 0.1),
+                          (1.0, 1.0, 0.01), (1.0, 0.1, 0.001), (0.1, 0.1, 0.001)]
+BENCHMARK_POINTS = [(0.5, 1.0), (3.0, 1.2)]  # perfbench's (mu, sigma)
+
+
+@pytest.mark.parametrize("b,c,d", NUMERIC_INVERSE_SHAPES)
+def test_numeric_inverse_keeps_the_bits_of_the_full_bisection(monkeypatch, b, c, d):
+    # the Newton steps end on the bracket that all 140 bisections end on
+    g = make_generator("traditional-weibull", b=b, c=c, d=d)
+    rng = np.random.default_rng(20)
+    z = np.exp(rng.uniform(math.log(1e-250), math.log(1e250), 10_000))
+    z = z[z < g.value(np.finfo(np.float64).max)]  # above it T^-1 raises
+    levels = np.linspace(0.02, 0.98, 12)
+
+    def outputs():
+        out = [g.raw.inverse(z)]
+        for k, (mu, sigma) in enumerate(BENCHMARK_POINTS):
+            params = FamilyParams(mu, sigma)
+            out += [sample(2000, params, g, RngStream(21, k)),
+                    [quantile(u, params, g) for u in levels], [isf(u, params, g) for u in levels]]
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(generators, "_numeric_inverse", _bisect_140_numeric_inverse)
+    for a, w in zip(got, outputs()):
+        assert np.array_equal(a, w)
+
+
+@pytest.mark.parametrize("point,parent_calls", zip(BENCHMARK_POINTS, (74, 65)))
+def test_numeric_inverse_calls_its_kernels_fewer_times(monkeypatch, point, parent_calls):
+    # about 5 Newton steps (a value and a d1 call each) and 6 bisections
+    # take the place of the 55-57 bisections past the bracket
+    calls = []
+    numeric_inverse = generators._numeric_inverse
+
+    def counting(value, d1, z):
+        def counted(name, fn):
+            return lambda x: calls.append(name) or fn(x)
+
+        return numeric_inverse(counted("value", value), counted("d1", d1), z)
+
+    monkeypatch.setattr(generators, "_numeric_inverse", counting)
+    g = make_generator("traditional-weibull")
+    sample(2000, FamilyParams(*point), g, RngStream(22, 0))
+    assert 0 < len(calls) < parent_calls * 2 / 3
+
+
 @pytest.mark.parametrize("b,c,d,z", [(1.0, 5.0, 0.1, 1e-250), (1.0, 1.0, 0.01, 1e200),
                                      (1.0, 5.0, 0.1, 1e-180)])
 def test_numeric_inverse_beyond_the_normal_product_range(b, c, d, z):
@@ -361,6 +410,16 @@ def test_numeric_inverse_beyond_the_normal_product_range(b, c, d, z):
     g = make_generator("traditional-weibull", b=b, c=c, d=d)
     x = inverse_of(g, z)
     assert abs(g.value(x) / z - 1.0) <= 1e-12
+
+
+def test_numeric_inverse_of_a_grid_with_a_root_beyond_the_normal_product_range():
+    # the far entries were indexed as rows of a 2-d z: a raw IndexError
+    g = make_generator("traditional-weibull", b=1.0, c=5.0, d=0.1)
+    z = np.array([[1e-250, 1.0], [2.0, 3.0]])
+    assert np.array_equal(inverse_of(g, z), inverse_of(g, z.ravel()).reshape(2, 2))
+    u = np.array([[0.02, 0.5], [0.6, 0.7]])
+    params = FamilyParams(0.01, 1.0)
+    assert np.array_equal(quantile(u, params, g), quantile(u.ravel(), params, g).reshape(2, 2))
 
 
 @pytest.mark.parametrize("z", [2e307, 3.5e307])
