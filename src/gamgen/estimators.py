@@ -105,7 +105,8 @@ def _pointwise_terms(g: Generator, y: np.ndarray, p=1.0) -> tuple:
 
     Never raises. Where x leaves (0, inf) every row is NaN, so no kernel sees
     0 or inf; elsewhere a row may still overflow to inf or NaN. An estimator
-    fails where a mean of a row it reads is not finite, and only there.
+    fails where a mean of a row it reads is not finite, and only there. The
+    bare kernels that g.raw wraps run inside this one errstate.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if np.ndim(p):
@@ -113,9 +114,10 @@ def _pointwise_terms(g: Generator, y: np.ndarray, p=1.0) -> tuple:
         else:
             x = y ** p
         x[~((x > 0.0) & (x < np.inf))] = np.nan
-        t1, log_t1 = _t1_and_log(g, x)
-        d1 = g.raw.d1(x)
-        d2 = g.raw.d2(x)
+        t1 = g.raw.value.kernel(x)
+        log_t1 = np.log(t1) if g.raw.log_value is None else g.raw.log_value.kernel(x)
+        d1 = g.raw.d1.kernel(x)
+        d2 = g.raw.d2.kernel(x)
         log_y = np.log(y)
         xl = x * log_y
         return t1, log_t1, log_y, (d2 / d1 - d1 / t1) * xl, d1 * xl, (d1 / t1) * xl
@@ -189,16 +191,10 @@ def _mu_closed_from_means(mean_log_y, mean_w, mean_t1, mean_a, mean_r, p=1.0):
     return numer, denom
 
 
-def profile_mu(sample: Sample, g: Generator, p: float) -> float:
-    """Profile estimator of mu at power p (the closed form at p = 1).
-
-    Ratio of the p-score pieces: numerator 1/p + mean(ln Y) + mean(w),
-    denominator sigma_hat * mean(a) - mean(r). A non-positive denominator
-    means the estimating equation has no positive solution for this sample.
-    """
-    p = _check_power(p)
-    _require_spread(sample, "closed-form mu")
-    mean_t1, _, mean_log_y, mean_w, mean_a, mean_r = _means(sample, g, p)
+def _profiles_from_means(means, p: float):
+    """(profile_mu, profile_sigma) as Python floats from the six row means of
+    _pointwise at the power p; raises by cause, as profile_mu does."""
+    mean_t1, _, mean_log_y, mean_w, mean_a, mean_r = means
     # checked first: a mean T that underflows to 0 would divide by zero
     total = _positive_total(mean_t1)
     numer, denom = _mu_closed_from_means(
@@ -213,7 +209,19 @@ def profile_mu(sample: Sample, g: Generator, p: float) -> float:
     mu = numer / denom
     if mu <= 0.0:
         raise InvalidSampleError("closed-form mu is not positive for this sample")
-    return float(mu)
+    return float(mu), 1.0 / total
+
+
+def profile_mu(sample: Sample, g: Generator, p: float) -> float:
+    """Profile estimator of mu at power p (the closed form at p = 1).
+
+    Ratio of the p-score pieces: numerator 1/p + mean(ln Y) + mean(w),
+    denominator sigma_hat * mean(a) - mean(r). A non-positive denominator
+    means the estimating equation has no positive solution for this sample.
+    """
+    p = _check_power(p)
+    _require_spread(sample, "closed-form mu")
+    return _profiles_from_means(_means(sample, g, p), p)[0]
 
 
 def estimate_sigma(sample: Sample, g: Generator) -> float:
@@ -273,10 +281,11 @@ def _solve_mu_ml_array(h: np.ndarray):
     the last bits of the root.
 
     h is taken as a flat array. Returns (root, iterations, residual,
-    (lo, hi), converged): an entry that could not be bracketed or ran out of
-    iterations is False in the mask. Its one caller is the ML kind of
-    _from_means, with many entries per call; one sample's H goes to
-    _solve_mu_ml_one, which takes the same steps in Python floats.
+    (lo, hi), converged): an entry that could not be bracketed, ran out of
+    iterations or stopped on a residual that is not finite is False in the
+    mask. Its one caller is the ML kind of _from_means, with many entries
+    per call; one sample's H goes to _solve_mu_ml_one, which takes the same
+    steps in Python floats.
     """
     h = np.asarray(h, dtype=np.float64).ravel()
     if h.size == 0:
@@ -334,7 +343,7 @@ def _solve_mu_ml_array(h: np.ndarray):
         go = (np.abs(af) > 1e-12) & ~((ahi - alo) <= np.spacing(alo) * 4.0)
         if not go.all():
             idx, am, af, afp, alo, ahi, ah = (a[go] for a in (idx, am, af, afp, alo, ahi, ah))
-    converged = bracketed.copy()
+    converged = bracketed & np.isfinite(fm)  # 1/mu overflows at a subnormal root
     converged[idx] = False
     return m, iters, fm, bracket0, converged
 
@@ -395,7 +404,7 @@ def _solve_mu_ml_one(h: float):
         iters += 1
         # ulp-limited plateau: stop when the bracket cannot shrink further
         going = abs(fm) > 1e-12 and not (ahi - alo <= float(np.spacing(alo)) * 4.0)
-    return m, iters, fm, (lo, hi), bracketed and not going
+    return m, iters, fm, (lo, hi), bracketed and not going and abs(fm) < np.inf
 
 
 def estimate_mu_ml(sample: Sample, g: Generator):
@@ -480,27 +489,34 @@ def _native_theta(g: Generator, names, mu, sigma, error=None):
 def _profile_residual(sample: Sample, g: Generator, p: float):
     """The residual ln mu - psi(mu) + ln sigma + mean ln T at the power p,
     with mu = profile_mu and sigma = profile_sigma there, as Python floats;
-    all NaN where a profile raises or the residual is not finite."""
+    all NaN where a profile raises or the residual is not finite: one
+    uncached pointwise pass and the profiles' float rule, with no check of p
+    or of spread, which the caller checks once."""
+    means = _mean_last(_pointwise(g, sample.values, p))
     try:
-        mu = profile_mu(sample, g, p)
-        sigma = profile_sigma(sample, g, p)
+        mu, sigma = _profiles_from_means(means, p)
     except (InvalidSampleError, OverflowInValue):
         return (np.nan,) * 3
-    rhs = -float(np.log(sigma)) - float(_means(sample, g, p)[1])
+    rhs = -float(np.log(sigma)) - float(means[1])
     resid = float(np.log(mu)) - _digamma(mu) - rhs  # nan for an infinite mu
     return (resid, mu, sigma) if np.isfinite(resid) else (np.nan,) * 3
 
 
 def _power_residuals(y: np.ndarray, g: Generator, p: np.ndarray):
-    """_profile_residual at each power of the block p on the flat sample y,
-    as three arrays shaped like p, with the same bits: one _pointwise_terms
-    pass, whose (k, n) terms sum in the order of _pointwise's (6, n) rows,
-    one _from_means call and one digamma pass. A power where a profile
+    """_profile_residual at each power of the grid p on the flat sample y,
+    as three arrays shaped like p, with the same bits. The powers go through
+    _pointwise_terms in blocks of _GRID_BLOCK_VALUES // n, whose (k, n) terms
+    sum in the order of _pointwise's (6, n) rows; one _from_means call and
+    one digamma pass then cover the whole grid. A power where a profile
     would raise, overflowing ones included, is NaN in all three, and the
     others keep their values; the caller checks spread.
     """
-    terms = _pointwise_terms(g, y, p[:, None])
-    means = [_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms]
+    size = max(1, _GRID_BLOCK_VALUES // y.size)
+    blocks = []
+    for i in range(0, p.size, size):
+        terms = _pointwise_terms(g, y, p[i : i + size, None])
+        blocks.append([_mean_last(np.broadcast_to(t, terms[0].shape)) for t in terms])
+    means = [np.concatenate(rows) for rows in zip(*blocks)]
     mu, sigma, ok = _from_means(means, "closed", True, p)
     resid = np.full(p.shape, np.nan)
     with np.errstate(all="ignore"):
@@ -520,20 +536,17 @@ def fit_full_ml(
     powers where the profile shape estimate is infeasible are skipped and
     counted; no sign change among feasible grid points raises.
 
-    The grid is evaluated in blocks of _GRID_BLOCK_VALUES // n powers, one
-    _power_residuals pass per block, in which a power that overflows is NaN
-    on its own; each secant step runs _profile_residual. Either route gives
-    a power the bits of profile_mu and profile_sigma.
+    The grid is one _power_residuals call, in which a power that overflows
+    is NaN on its own; each secant step is one _profile_residual pass, and
+    spread is checked once. Either route gives a power the bits of
+    profile_mu and profile_sigma, and neither caches on the sample.
     """
     p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
     if not (0.0 < p_lo < p_hi and np.isfinite(p_hi)):
         raise DomainError("power bracket must satisfy 0 < lo < hi")
     _require_spread(sample, "closed-form mu")
-    y = sample.values
     grid = np.geomspace(p_lo, p_hi, 41)
-    size = max(1, _GRID_BLOCK_VALUES // y.size)
-    blocks = [_power_residuals(y, g, grid[i : i + size]) for i in range(0, grid.size, size)]
-    resid, mu, sigma = (np.concatenate(col) for col in zip(*blocks))
+    resid, mu, sigma = _power_residuals(sample.values, g, grid)
     infeasible = int(np.isnan(resid).sum())
     residuals = list(zip(grid.tolist(), resid.tolist(), mu.tolist(), sigma.tolist()))
 

@@ -13,7 +13,8 @@ Generator wraps them in one place. Each of ``value``, ``d1``, ``d2``,
 or arrays, raises DomainError unless every argument is finite and > 0, and
 returns a float for a scalar. ``g.raw`` keeps the kernels unchecked, with
 numpy's overflow, divide and invalid warnings off, for the internal paths
-that have checked their input at the public boundary.
+that have checked their input at the public boundary. Both forms carry the
+bare kernel as ``kernel``, for a path that holds those warnings off itself.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _wrap(kernel: Callable, what: str):
         out = quiet(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
-    checked.kernel = kernel
+    checked.kernel = quiet.kernel = kernel
     return checked, quiet
 
 

@@ -315,13 +315,17 @@ def test_solver_converges_up_to_the_largest_float():
     # 200 steps from H ~ 1e116, and 12 H overflowed mu0 above 1.5e307
     h = np.concatenate([np.geomspace(1e116, 1e308, 193), [1.5e307, np.finfo(np.float64).max]])
     with np.errstate(all="ignore"):
-        root, iters, _, _, converged = _solve_mu_ml_array(h)
-    assert converged.all()
+        root, iters, residual, _, converged = _solve_mu_ml_array(h)
+    # at the largest float the root is subnormal and 1/mu overflows inside
+    # ln(mu) - psi(mu), so its residual is inf and it is no converged root
+    assert converged[:-1].all() and not converged[-1] and residual[-1] == np.inf
     assert iters.max() <= 400
     np.testing.assert_allclose(root * h, 1.0, rtol=1e-13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert [_solve_mu_ml_one(v)[0] for v in h.tolist()] == root.tolist()
+        one = [_solve_mu_ml_one(v) for v in h.tolist()]
+    assert [r[0] for r in one] == root.tolist()
+    assert [r[4] for r in one] == converged.tolist()
 
 
 def test_mu_ml_at_an_h_above_1e122_against_mpmath():
@@ -720,6 +724,86 @@ def test_fit_full_ml_makes_one_pointwise_pass_per_block_and_step(monkeypatch, n)
             iterations = fit.iterations
         assert len(passes) == blocks + iterations
         assert sum(passes[:blocks]) == 41 and passes[blocks:] == [1] * iterations
+
+
+def _full_ml_point_samples(n):
+    # FULL_ML_POINTS drawn under gamma, n = 1000 cuts the grid into 9 blocks
+    return [draw(n, FamilyParams(mu, sigma, p), GAMMA, RngStream(73, i))
+            for i, (mu, sigma, p) in enumerate(FULL_ML_POINTS)]
+
+
+def test_fit_full_ml_solves_its_grid_tail_once(monkeypatch):
+    # one closed-form tail for the whole grid, and one spread check per fit
+    calls = {"_from_means": 0, "_require_spread": 0}
+
+    def counted(name):
+        fn = getattr(estimators, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(estimators, name, counted(name))
+    for y in _full_ml_point_samples(1000):
+        calls.update(dict.fromkeys(calls, 0))
+        fit = fit_full_ml(Sample(y), GAMMA)
+        assert fit.iterations >= 3
+        assert calls == {"_from_means": 1, "_require_spread": 1}
+
+
+def test_fit_full_ml_leaves_no_cache_entries():
+    for y in _full_ml_point_samples(1000):
+        s = Sample(y)
+        estimate_mu_closed(s, GAMMA)
+        before = dict(s._cache)
+        fit_full_ml(s, GAMMA)
+        assert s._cache == before
+
+
+def _profile_residual_reference(sample, g, p):
+    # estimators._profile_residual as profile_mu, profile_sigma and _means
+    try:
+        mu = profile_mu(sample, g, p)
+        sigma = profile_sigma(sample, g, p)
+    except (InvalidSampleError, OverflowInValue):
+        return (np.nan,) * 3
+    rhs = -float(np.log(sigma)) - float(estimators._means(sample, g, p)[1])
+    resid = float(np.log(mu)) - estimators._digamma(mu) - rhs
+    return (resid, mu, sigma) if np.isfinite(resid) else (np.nan,) * 3
+
+
+def test_secant_step_keeps_the_bits_of_the_profiles():
+    # 60 powers inside (0.01, 100): on the wide sample the largest overflow
+    powers = np.geomspace(0.01, 100.0, 62)[1:-1].tolist()
+    outcomes = set()
+    for gi, (name, shapes) in enumerate(CATALOG_SWEEP):
+        g = make_generator(name, **shapes)
+        samples = [np.geomspace(1e-4, 1e4, 20)]
+        try:
+            samples.append(draw(20, FamilyParams(1.0, 1.2, 1.5), g, RngStream(79, gi)))
+        except GamgenError:
+            pass
+        for y in samples:
+            for p in powers:
+                got = estimators._profile_residual(Sample(y), g, p)
+                want = _profile_residual_reference(Sample(y), g, p)
+                assert all(type(v) is float for v in got), (name, p)
+                assert np.array_equal(got, want, equal_nan=True), (name, p)
+                outcomes.add(math.isnan(got[0]))
+    assert outcomes == {True, False}
+
+
+def test_an_infinite_residual_is_no_converged_root(monkeypatch):
+    # at the largest float the root is subnormal and its residual inf
+    h = float(np.finfo(np.float64).max)
+    M = np.array([[1.0, 1.0], [-h, -1.0]])
+    mu, sigma, ok = _from_means(M, "ml", np.ones(2, bool))
+    assert ok.tolist() == [False, True] and math.isnan(mu[0]) and math.isnan(sigma[0])
+    monkeypatch.setattr(estimators, "ml_equation_rhs", lambda sample, g: h)
+    with pytest.raises(ConvergenceError):
+        estimate_mu_ml(S123, GAMMA)
 
 
 @pytest.mark.parametrize("shape", ["flat", "row"])

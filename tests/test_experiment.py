@@ -29,6 +29,30 @@ from gamgen import (
 
 HEADER = "generator,param_name,theta_true,n,estimator,rb,rmse,failures,N,B,seed"
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# numpy's X86_V4 (AVX-512) loops for log, exp, expm1, log1p and power round
+# some last bits otherwise than its baseline loops, and that moves RB and
+# RMSE digits. So each CSV digest below is pinned once per dispatch level:
+# the X86_V4 pin, and here the baseline loops' digest of the same CSV, which
+# is what NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" gives.
+# Exactly one of the two is accepted on any one machine.
+BASELINE_DIGESTS = {
+    "a1c380fb4612ded410985cc214e8a4fdcc1c105c": "cbea16c30ee1d647fef9684c77850cf0a099245c",
+    "85681d82502093e1e46377b61c894aa42d83c7b2": "a571dbea8bae784b1027dffe67a33724357b6b16",
+    "323ca729b5e1706d1d2cbf095741db1ff8e53767": "3256d9cd03f7cced5c0862468ad00690e5b42105",
+    "1401ac23011a6e099f6920e911feedf3c1a9ab20": "5760b6ba9126196c7b1c8c3402719a14854fc318",
+}
+
+
+def _pinned(x86_v4_digest):
+    if __cpu_features__.get("X86_V4", False):
+        return x86_v4_digest
+    return BASELINE_DIGESTS[x86_v4_digest]
+
 
 def small_config(**over):
     base = dict(
@@ -125,7 +149,7 @@ def test_ml_grid_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "grid.csv"
     write_csv(run_experiment(cfg), path)
     digest = hashlib.sha1(path.read_bytes()).hexdigest()
-    assert digest == "a1c380fb4612ded410985cc214e8a4fdcc1c105c"
+    assert digest == _pinned("a1c380fb4612ded410985cc214e8a4fdcc1c105c")
 
 
 def test_smoke_grid_csv_bytes_are_pinned(tmp_path):
@@ -135,7 +159,7 @@ def test_smoke_grid_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "smoke.csv"
     write_csv(run_experiment(smoke_config(5)), path)
     digest = hashlib.sha1(path.read_bytes()).hexdigest()
-    assert digest == "85681d82502093e1e46377b61c894aa42d83c7b2"
+    assert digest == _pinned("85681d82502093e1e46377b61c894aa42d83c7b2")
 
 
 @pytest.mark.parametrize("generator,theta,digest", [
@@ -149,7 +173,7 @@ def test_both_grid_csv_bytes_are_pinned(tmp_path, generator, theta, digest):
     cfg = ExperimentConfig(generator, (theta,), (2, 3, 5, 20), 20, 100, 23, "both")
     path = tmp_path / "grid.csv"
     write_csv(run_experiment(cfg), path)
-    assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == _pinned(digest)
 
 
 def test_replication_failing_in_its_draw_fails_alone(monkeypatch):
